@@ -13,17 +13,18 @@ import numpy as np
 
 from .blocks import BandedBlock, DenseBlock, FiniteRankBlock
 from .diagonals import DiagonalSeq
-from .errors import (HypothesisFailed, InfiniteH2, MstarInfinite, NotAN,
-                     NotInvertible, StarParanormalRefuted, StructureViolation)
+from .errors import (HypothesisFailed, InfiniteH2, NotAN, NotInvertible,
+                     StarParanormalRefuted, StructureViolation)
 from .exactla import inverse as exact_inverse
 from .operators import (L2, OperatorExpr, adjoint, apply, corner_sizes,
                         dense_window, finite, identity_like, multiply,
                         ops_equal_exact, truncate, window_layout, window_sizes)
 from .predicates import (NUMERICAL, PROVEN, REFUTED, PredicateVerdict,
-                         _jsonable, an_check, compute_M_and_Mstar, is_normal,
-                         star_paranormal_check)
+                         _commutator, _jsonable, an_check, compute_M_and_Mstar,
+                         is_normal, star_paranormal_check)
 from .scalars import Scalar, scalar_sqrt
-from .spectral import (adjoint_modulus_summary, modulus_summary,
+from .spectral import (_exact_sqrt_opt, _window_norm_bound,
+                       adjoint_modulus_summary, kernel_dims, modulus_summary,
                        positive_spectral_summary, summary_eigenspace)
 from .subspaces import Subspace
 from .vectors import VectorExpr
@@ -110,14 +111,10 @@ class TailIsometry:
     lam_exact: Fraction | None = None
 
     def apply_in(self, v):
-        tv = apply(self.t, v)
-        pv = self.h2.project(tv)
-        return _scale_vec(pv, self.lam, self.lam_exact)
-
-    def adjoint_apply_in(self, v):
-        tv = apply(adjoint(self.t), v)
-        pv = self.h2.project(tv)
-        return _scale_vec(pv, self.lam, self.lam_exact)
+        pv = self.h2.project(apply(self.t, v))
+        if self.lam_exact is not None:
+            return pv.scaled(Scalar.exact(Fraction(1) / self.lam_exact))
+        return pv.scaled(Scalar.inexact(1.0 / self.lam))
 
     def window_basis(self):
         """Finite witness basis of the tail subspace: its extra directions
@@ -143,16 +140,12 @@ class TailIsometry:
         return out
 
 
-def _scale_vec(v, lam, lam_exact):
-    if lam_exact is not None:
-        return v.scaled(Scalar.exact(Fraction(1) / lam_exact))
-    return v.scaled(Scalar.inexact(1.0 / lam))
-
-
 # -- certificate -------------------------------------------------------------------------
 
 @dataclass
 class PeeledLevel:
+    """A scaled-unitary summand: above the tail value, or a reducing
+    eigenspace below it."""
     value: float
     value_exact: Fraction | None
     space: Subspace
@@ -162,21 +155,6 @@ class PeeledLevel:
     def to_json(self):
         return {"value": self.value,
                 "dim": self.space.dim(),
-                "eigenspace": self.space.to_json(),
-                "matrix": _mat_json(self.matrix),
-                "unitary_residual": self.unitary_residual}
-
-
-@dataclass
-class BelowLevel:
-    value: float
-    value_exact: Fraction | None
-    space: Subspace
-    matrix: np.ndarray
-    unitary_residual: float
-
-    def to_json(self):
-        return {"value": self.value, "dim": self.space.dim(),
                 "eigenspace": self.space.to_json(),
                 "matrix": _mat_json(self.matrix),
                 "unitary_residual": self.unitary_residual}
@@ -251,14 +229,6 @@ def _cplx_json(v):
 
 # -- peeling -----------------------------------------------------------------------------
 
-def _sqrt_opt(fr):
-    if fr is None:
-        return None
-    from .scalars import exact_sqrt
-    r, perfect = exact_sqrt(fr)
-    return r if perfect else None
-
-
 def _collect_above(s_q, m_e2, max_peel):
     """Distinct squared values above the essential minimum, descending;
     returns (values, truncated_flag). Values are (float, exact or None)."""
@@ -281,16 +251,22 @@ def _collect_above(s_q, m_e2, max_peel):
             truncated = True
         # increasing streams approach the (singleton) essential point from
         # below and contribute nothing above it
+    out = _distinct_values(vals)
+    if len(out) > max_peel:
+        truncated = True
+        out = out[:max_peel]
+    return out, truncated
+
+
+def _distinct_values(vals):
+    """(float, exact or None) pairs, one per value to 12 decimals with an
+    exact label kept where any copy has one, in descending order."""
     dedup = {}
     for vf, ve in vals:
         key = round(vf, 12)
         if key not in dedup or (dedup[key][1] is None and ve is not None):
             dedup[key] = (vf, ve)
-    out = sorted(dedup.values(), key=lambda p: -p[0])
-    if len(out) > max_peel:
-        truncated = True
-        out = out[:max_peel]
-    return out, truncated
+    return sorted(dedup.values(), key=lambda p: -p[0])
 
 
 def _restriction_matrix(t, space, lam, lam_exact, tol):
@@ -323,6 +299,15 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
     attaining operator: descending scaled-unitary eigenspaces above the
     essential minimum, the isometric tail with its one-sided coupling, the
     finite complement block, and sub-tail unitary summands where they exist."""
+    _require_hypotheses(t, tol, samples, seed, trunc)
+    s_q = positive_spectral_summary(multiply(adjoint(t), t), tol, trunc)
+    s_qq = positive_spectral_summary(multiply(t, adjoint(t)), tol, trunc)
+    return _peel(t, s_q, s_qq, tol, max_peel, samples, seed, trunc)
+
+
+def _require_hypotheses(t, tol, samples, seed, trunc):
+    """Raise NotAN or StarParanormalRefuted when a check refutes the
+    hypotheses of the peeled representation."""
     av = an_check(t, tol, trunc)
     if av.status == REFUTED:
         raise NotAN(str(av.evidence.get("rule")))
@@ -330,11 +315,12 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
                                seed=seed, trunc=min(trunc, 160))
     if sv.status == REFUTED:
         raise StarParanormalRefuted("refutation witness found")
+
+
+def _peel(t, s_q, s_qq, tol, max_peel, samples, seed, trunc):
+    """peel_decompose after its hypothesis checks, from the summaries s_q
+    of T*T and s_qq of TT*."""
     notes = []
-    q = multiply(adjoint(t), t)
-    qq = multiply(t, adjoint(t))
-    s_q = positive_spectral_summary(q, tol, trunc)
-    s_qq = positive_spectral_summary(qq, tol, trunc)
     norm = math.sqrt(max(s_q.norm, 0.0))
     m_low = math.sqrt(max(s_q.m, 0.0))
     m_e = math.sqrt(max(s_q.m_e, 0.0))
@@ -345,7 +331,7 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
     peeled = []
     for v2, v2_exact in above:
         lam = math.sqrt(v2)
-        lam_exact = _sqrt_opt(v2_exact)
+        lam_exact = _exact_sqrt_opt(v2_exact)
         g1 = summary_eigenspace(s_q, _val(v2, v2_exact), tol)
         g2 = summary_eigenspace(s_qq, _val(v2, v2_exact), tol)
         eq, res = g1.equals(g2, tol)
@@ -366,7 +352,7 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
     tail = None
     iso_res = 0.0
     if not h2.is_zero():
-        lam_e_exact = _sqrt_opt(m_e2_exact)
+        lam_e_exact = _exact_sqrt_opt(m_e2_exact)
         tail = TailIsometry(t, h2, m_e, lam_e_exact)
         inv = invariance_check(t, h2, tol)
         if inv.status == REFUTED:
@@ -394,12 +380,7 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
                     deltas.append((float(v), v))
                     found += 1
                 k += 1
-    dedup = {}
-    for vf, ve in deltas:
-        key = round(vf, 12)
-        if key not in dedup or (dedup[key][1] is None and ve is not None):
-            dedup[key] = (vf, ve)
-    deltas = sorted(dedup.values(), key=lambda p: -p[0])
+    deltas = _distinct_values(deltas)
     delta_spectrum = [math.sqrt(max(v, 0.0)) for v, _ in deltas]
 
     below = []
@@ -407,17 +388,19 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
     below_vecs = []
     for v2, v2_exact in deltas:
         dl = math.sqrt(max(v2, 0.0))
-        dl_exact = _sqrt_opt(v2_exact)
-        g1 = summary_eigenspace(s_q, _val(v2, v2_exact), tol)
-        g2 = summary_eigenspace(s_qq, _val(v2, v2_exact), tol)
-        eq, _ = g1.equals(g2, tol)
-        inv_ok = eq and invariance_check(t, g1, tol).status in (PROVEN, NUMERICAL)
-        if inv_ok and g1.dim():
-            mat, cont, ur = _restriction_matrix(t, g1, dl, dl_exact, tol)
-            if cont <= tol * max(1.0, dl) and ur <= 10 * tol:
-                below.append(BelowLevel(dl, dl_exact, g1, mat, ur))
-                below_vecs.extend(g1.vectors)
-                continue
+        # the kernel (dl = 0) has no unitary part; it stays in the residual block
+        if dl > 0:
+            dl_exact = _exact_sqrt_opt(v2_exact)
+            g1 = summary_eigenspace(s_q, _val(v2, v2_exact), tol)
+            g2 = summary_eigenspace(s_qq, _val(v2, v2_exact), tol)
+            eq, _ = g1.equals(g2, tol)
+            inv_ok = eq and invariance_check(t, g1, tol).status in (PROVEN, NUMERICAL)
+            if inv_ok and g1.dim():
+                mat, cont, ur = _restriction_matrix(t, g1, dl, dl_exact, tol)
+                if cont <= tol * max(1.0, dl) and ur <= 10 * tol:
+                    below.append(PeeledLevel(dl, dl_exact, g1, mat, ur))
+                    below_vecs.extend(g1.vectors)
+                    continue
         absorbed.append(dl)
 
     # complement H3 = (H1 (+) H2)^perp, with the reducing below-spaces
@@ -472,7 +455,7 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
 
     cert = DecompositionCertificate(
         spaces=t.spaces, peeled=peeled, tail_value=m_e,
-        tail_value_exact=_sqrt_opt(m_e2_exact), h2=h2, tail=tail,
+        tail_value_exact=_exact_sqrt_opt(m_e2_exact), h2=h2, tail=tail,
         a_cols=a_cols, b_matrix=b_rows, h3=h3, below=below,
         delta_spectrum=delta_spectrum, absorbed_deltas=absorbed,
         s_star_a_norm=s_star_a_norm, s_star_a_exact_zero=s_star_exact_zero,
@@ -627,15 +610,14 @@ def _structural_inverse(a, tol):
     if all(sp.kind == "finite" for sp in a.spaces):
         sizes = [sp.dim for sp in a.spaces]
         mat = dense_window(a, sizes)
+        starts, labels = window_layout(a.spaces, sizes)
         if a.is_exact_scalars():
             inv = exact_inverse(mat)
             if inv is None:
                 raise NotInvertible("finite block is singular")
-            starts, labels = window_layout(a.spaces, sizes)
             return _dense_to_op(a.spaces, labels, inv), True
         m = np.array([[complex(v) for v in row] for row in mat])
         inv = np.linalg.inv(m)
-        starts, labels = window_layout(a.spaces, sizes)
         return _dense_to_op(a.spaces, labels,
                             [[Scalar.inexact(x.real, x.imag) for x in row]
                              for row in inv]), False
@@ -680,16 +662,22 @@ def both_minimum_moduli(op, tol=1e-10, trunc=256):
             adjoint_modulus_summary(op, tol, trunc).m)
 
 
+def _certified_invertible(op, tol):
+    """Both minimum moduli of op, or NotInvertible unless both exceed tol."""
+    mm, mm_star = both_minimum_moduli(op, tol)
+    if min(mm, mm_star) <= tol:
+        raise NotInvertible(f"minimum moduli ({mm:.3g}, {mm_star:.3g}) are not "
+                            f"both above tol")
+    return mm, mm_star
+
+
 def block_upper_inverse(a, b_cols, c_rows, tol=1e-10):
     """Inverse blocks (a^-1, -a^-1 b c^-1, c^-1) of [[a, b], [0, c]] with a
     finite lower-right block; invertibility is certified through the minimum
     moduli of the assembled operator and of its adjoint."""
     n = len(c_rows)
     assembled = assemble_upper(a, b_cols, c_rows)
-    mm, mm_star = both_minimum_moduli(assembled, tol)
-    if min(mm, mm_star) <= tol:
-        raise NotInvertible(f"minimum moduli ({mm:.3g}, {mm_star:.3g}) are not "
-                            f"both above tol")
+    mm, mm_star = _certified_invertible(assembled, tol)
     a_inv, a_exact = _structural_inverse(a, tol)
     if a_inv is None:
         raise NotInvertible("the (1,1) block is not in an invertible "
@@ -738,10 +726,7 @@ def coupling_vanishes(a, b_cols, c_rows, tol=1e-10, alpha=None):
     """Certifies b = 0 for an invertible [[alpha S, b], [0, c]] with S an
     isometry and S*b = 0."""
     assembled = assemble_upper(a, b_cols, c_rows)
-    mm, mm_star = both_minimum_moduli(assembled, tol)
-    if min(mm, mm_star) <= tol:
-        raise NotInvertible(f"minimum moduli ({mm:.3g}, {mm_star:.3g}) are not "
-                            f"both above tol")
+    mm, mm_star = _certified_invertible(assembled, tol)
     if alpha is None:
         alpha = next(_constant_candidates(multiply(adjoint(a), a)))
         alpha = scalar_sqrt(alpha) if alpha.is_real() else None
@@ -796,20 +781,13 @@ class NormalityCertificate:
 def certify_normal(t, tol=1e-10, samples=2000, seed=42, trunc=256, max_peel=64):
     """Normality through invertibility, kernel dimensions, or the Weyl
     condition; refuses to certify when none of the routes apply."""
-    from .spectral import kernel_dims
-    av = an_check(t, tol, trunc)
-    if av.status == REFUTED:
-        raise NotAN(str(av.evidence.get("rule")))
-    sv = star_paranormal_check(t, tol, k_grid=16, samples=min(samples, 4000),
-                               seed=seed, trunc=min(trunc, 160))
-    if sv.status == REFUTED:
-        raise StarParanormalRefuted("refutation witness found")
+    _require_hypotheses(t, tol, samples, seed, trunc)
     msum = modulus_summary(t, tol, trunc)
-    amsum0 = adjoint_modulus_summary(t, tol, trunc)
-    details = {"m": msum.m, "m_adjoint": amsum0.m, "m_e": msum.m_e,
+    amsum = adjoint_modulus_summary(t, tol, trunc)
+    details = {"m": msum.m, "m_adjoint": amsum.m, "m_e": msum.m_e,
                "norm": msum.norm}
-    if min(msum.m, amsum0.m) > tol:
-        cert = peel_decompose(t, tol, max_peel, samples, seed, trunc)
+    if min(msum.m, amsum.m) > tol:
+        cert = _peel(t, msum.base, amsum.base, tol, max_peel, samples, seed, trunc)
         details["s_star_a_norm"] = cert.s_star_a_norm
         details["isometry_residual"] = cert.isometry_residual
         a_norm = max((c.norm_float() for c in cert.a_cols), default=0.0)
@@ -821,7 +799,6 @@ def certify_normal(t, tol=1e-10, samples=2000, seed=42, trunc=256, max_peel=64):
     kd = kernel_dims(t, tol, trunc)
     details["kernel_dims"] = kd.to_json()
     dims_equal_finite = (isinstance(kd.dim_t, int) and kd.dim_t == kd.dim_t_star)
-    amsum = adjoint_modulus_summary(t, tol, trunc)
     details["m_e_adjoint"] = amsum.m_e
     weyl_ok = dims_equal_finite and msum.m_e > tol and amsum.m_e > tol
     details["zero_outside_weyl_spectrum"] = weyl_ok
@@ -834,9 +811,7 @@ def certify_normal(t, tol=1e-10, samples=2000, seed=42, trunc=256, max_peel=64):
         # already invertible unless spectrum accumulates at zero, which the
         # finite-count criterion rules out
         return NormalityCertificate("NotApplicable", False, float("nan"), details)
-    kernel = summary_eigenspace(
-        positive_spectral_summary(multiply(adjoint(t), t), tol, trunc),
-        Scalar.exact(0), tol)
+    kernel = summary_eigenspace(msum.base, Scalar.exact(0), tol)
     restricted = compress_to_complement(t, kernel)
     details["restricted_spaces"] = [s.kind for s in restricted.spaces]
     sub = certify_normal(restricted, tol, samples, seed, trunc, max_peel)
@@ -849,16 +824,7 @@ def certify_normal(t, tol=1e-10, samples=2000, seed=42, trunc=256, max_peel=64):
 def _conclude(t, route, details, tol):
     verdict = is_normal(t)
     details["is_normal"] = verdict.status
-    d = multiply(adjoint(t), t) - multiply(t, adjoint(t))
-    if not d.blocks:
-        bound = 0.0
-    else:
-        bound = float(np.linalg.norm(
-            truncate(d, max(corner_sizes(d)) + 2).matrix))
-        for blk in d.blocks.values():
-            if isinstance(blk, BandedBlock):
-                bound += sum(abs(s.limit) + (s.decay[0] if s.decay else 0.0)
-                             for s in blk.diagonals.values())
+    bound = _window_norm_bound(_commutator(t))
     if verdict.status == REFUTED:
         raise StructureViolation(
             "a normality route applied but T*T != TT*; the input fails the "

@@ -67,9 +67,5 @@ class HypothesisFailed(AnopError):
     pass
 
 
-class MstarInfinite(AnopError):
-    pass
-
-
 class BadParams(AnopError):
     pass

@@ -102,19 +102,6 @@ def rank(m, ncols=None):
     return len(_rref(work, ncols))
 
 
-def solve(a, b):
-    """Solve a x = b exactly; returns None if inconsistent/singular."""
-    n = len(a)
-    aug = [a[i][:] + [b[i]] for i in range(n)]
-    piv = _rref(aug, n)
-    if len(piv) < n:
-        for i in range(len(piv), n):
-            if not aug[i][n].is_zero():
-                return None
-        return None
-    return [aug[i][n] for i in range(n)]
-
-
 def inverse(a):
     n = len(a)
     aug = [a[i][:] + mat_identity(n)[i] for i in range(n)]
@@ -151,15 +138,6 @@ def _is_zero_vec(v):
     if hasattr(v, "shape"):
         return v.is_zero()
     return all(x.is_zero() for x in v)
-
-
-def hermitian_check(m):
-    n = len(m)
-    for i in range(n):
-        for j in range(i, n):
-            if m[i][j] != m[j][i].conj():
-                return False
-    return True
 
 
 def psd_decide(m):

@@ -14,10 +14,10 @@ from .blocks import BandedBlock, DenseBlock, FiniteRankBlock
 from .diagonals import DiagonalSeq
 from .errors import BadParams
 from .operators import (L2, OperatorExpr, adjoint, apply, corner_sizes,
-                        dense_window, direct_sum, finite, identity_operator,
-                        multiply, ops_equal_exact, window_layout)
+                        dense_window, direct_sum, finite, multiply,
+                        ops_equal_exact, window_layout)
 from .predicates import (an_check, compute_M_and_Mstar, hyponormal_check,
-                         paranormal_refute, star_paranormal_check, _jsonable)
+                         paranormal_refute, _jsonable)
 from .ratfn import RationalFn
 from .scalars import Scalar
 from .spectral import essential_spectrum, kernel_dims, modulus_summary
@@ -150,7 +150,7 @@ def theorem_form(levels, m_e, tail_power=1, h3_dim=0, a_entries=(), b_matrix=Non
                     raise BadParams("b matrix exceeds the finite block")
                 v = Scalar.of(v)
                 if not v.is_zero():
-                    entries[(r, c)] = entries.get(r, c) if (r, c) in entries else v
+                    entries[(r, c)] = v
     dblock = BandedBlock({p: shift}).absorb_entries(entries)
     summands.append(OperatorExpr((L2,), {(0, 0): dblock}))
     return direct_sum(*summands)

@@ -134,7 +134,8 @@ def sym_eigen(m, tol=1e-10):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSelfAdjoint("matrix must be square")
     herm_dev = float(np.linalg.norm(m - m.conj().T))
-    if herm_dev > tol:
+    # NaN or overflowed entries fail this test too
+    if not herm_dev <= tol:
         raise NotSelfAdjoint(f"||m - m*|| = {herm_dev:.3g} exceeds tol {tol:.3g}")
     mh = 0.5 * (m + m.conj().T)
     w, v = hermitian_eig(mh, min(JACOBI_TOL, tol))

@@ -90,9 +90,6 @@ class OperatorExpr:
     def block(self, i, j):
         return self.blocks.get((i, j))
 
-    def n_components(self):
-        return len(self.spaces)
-
     def l2_components(self):
         return [i for i, s in enumerate(self.spaces) if s.kind == "l2"]
 
@@ -103,12 +100,6 @@ class OperatorExpr:
         if blk is None:
             return ZERO
         return blk.entry(r, c)
-
-    def diagonal_block(self, i):
-        blk = self.blocks.get((i, i))
-        if blk is None and self.spaces[i].kind == "l2":
-            return BandedBlock({})
-        return blk
 
     # -- tier predicates --------------------------------------------------------
 
@@ -121,10 +112,6 @@ class OperatorExpr:
 
     def is_exact_tier(self):
         return self.is_exact_shape() and self.is_exact_scalars()
-
-    def has_entry_rules(self):
-        return any(isinstance(b, BandedBlock) and not b.is_exact_shape()
-                   for b in self.blocks.values())
 
     # -- convenience operators ---------------------------------------------------
 

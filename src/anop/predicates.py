@@ -123,7 +123,7 @@ def _corner_witness_search(d, corner, labels):
     n = len(corner)
     for i in range(n):
         if not corner[i][i].is_zero():
-            return _flat_to_vec(d, labels, _unit_flat(n, i))
+            return VectorExpr.from_flat(d.spaces, labels, _unit_flat(n, i))
     for i in range(n):
         for j in range(i + 1, n):
             if corner[i][j].is_zero():
@@ -132,7 +132,7 @@ def _corner_witness_search(d, corner, labels):
                 flat = _unit_flat(n, i)
                 flat[j] = phase
                 if not quad_form(corner, flat).is_zero():
-                    return _flat_to_vec(d, labels, flat)
+                    return VectorExpr.from_flat(d.spaces, labels, flat)
     return None
 
 
@@ -140,14 +140,6 @@ def _unit_flat(n, i):
     flat = [ZERO] * n
     flat[i] = Scalar.exact(1)
     return flat
-
-
-def _flat_to_vec(op, labels, flat):
-    data = [dict() for _ in op.spaces]
-    for (ci, k), v in zip(labels, flat):
-        if not v.is_zero():
-            data[ci][k] = v
-    return VectorExpr(op.spaces, data)
 
 
 def _norms2(t, x):
@@ -179,10 +171,6 @@ def iter_sample_vectors(t, count, seed, support_cap=12):
         v = VectorExpr(t.spaces, data)
         if not v.is_zero():
             yield v
-
-
-def sample_vectors(t, count, seed, support_cap=12):
-    return list(iter_sample_vectors(t, count, seed, support_cap))
 
 
 def basis_candidates(t):
@@ -234,24 +222,17 @@ def is_normal(t):
             "normal", REFUTED, witness=wit,
             evidence={"rule": "witness quadratic form of T*T - TT* is nonzero",
                       "form_value": [str(gap.re), str(gap.im)]})
-    nrm = float(np.linalg.norm(np.array([[complex(v) for v in row] for row in corner])))
+    mat = np.array([[complex(v) for v in row] for row in corner])
+    nrm = float(np.linalg.norm(mat))
     if nrm <= 1e-10:
         return PredicateVerdict("normal", NUMERICAL,
                                 evidence={"rule": "float data, window difference small",
                                           "window_norm": nrm})
-    w, v = np.linalg.eigh(np.array([[complex(v) for v in row] for row in corner]))
+    w, v = np.linalg.eigh(mat)
     idx = int(np.argmax(np.abs(w)))
-    wit = _float_flat_to_vec(d, labels, v[:, idx])
+    wit = VectorExpr.from_flat(d.spaces, labels, v[:, idx], 1e-12)
     return PredicateVerdict("normal", REFUTED, witness=wit,
                             evidence={"rule": "float witness", "form_value": float(w[idx])})
-
-
-def _float_flat_to_vec(op, labels, flat):
-    data = [dict() for _ in op.spaces]
-    for (ci, k), v in zip(labels, flat):
-        if abs(v) > 1e-12:
-            data[ci][k] = Scalar.inexact(v.real, v.imag)
-    return VectorExpr(op.spaces, data)
 
 
 # -- hyponormality --------------------------------------------------------------------
@@ -278,7 +259,7 @@ def hyponormal_check(t, tol=1e-10):
                                   "tail certified nonnegative",
                           "corner_size": len(corner), "tail": tail},
                 tolerances={"tol": tol})
-        wit = _flat_to_vec(d, labels, wit_flat)
+        wit = VectorExpr.from_flat(d.spaces, labels, wit_flat)
         gap = apply(d, wit).inner(wit)
         return PredicateVerdict(
             "hyponormal", REFUTED, witness=wit,
@@ -298,7 +279,7 @@ def hyponormal_check(t, tol=1e-10):
     scale = max(1.0, float(np.max(np.abs(w))) if len(mat) else 1.0)
     if w[0] < -tol * scale:
         _, v = np.linalg.eigh(mat)
-        wit = _float_flat_to_vec(d, labels, v[:, 0])
+        wit = VectorExpr.from_flat(d.spaces, labels, v[:, 0], 1e-12)
         return PredicateVerdict("hyponormal", REFUTED, witness=wit,
                                 evidence={"rule": "float corner eigenvalue negative",
                                           "min_eig": float(w[0])},

@@ -129,9 +129,6 @@ class Scalar:
     def __abs__(self):
         return abs(complex(self))
 
-    def real_float(self):
-        return float(self.re)
-
     def __repr__(self):
         kind = "exact" if self.is_exact else "float"
         if self.im == 0:

@@ -4,10 +4,12 @@ Top level is either {"spaces": [...], "blocks": [...]} or a builtin
 shorthand {"builtin": "identity"|"right_shift"|"diag", ...}. Complex
 literals are [re, im] where each part is a number or a rational string
 "p/q"; a bare number is accepted on input and read as a real. Exact
-values round-trip bit-exactly.
+values round-trip bit-exactly. Numbers must be finite, indices (offset,
+row, col, r, c) must be integers, and the space list must not be empty.
 """
 
 import json
+import math
 from fractions import Fraction
 
 from .blocks import BandedBlock, DenseBlock, FiniteRankBlock
@@ -26,6 +28,8 @@ def _part_from_json(x, path):
     if isinstance(x, int):
         return Fraction(x), True
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise SchemaError(f"non-finite number {x!r}", path)
         return x, False
     if isinstance(x, str):
         try:
@@ -100,6 +104,21 @@ def serialize(op):
 
 # -- operator decoding -----------------------------------------------------------
 
+def _index(obj, key, path):
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SchemaError(f"{key!r} must be an integer, got {v!r}", path)
+    return v
+
+
+def _finite_float(x, path):
+    v, _ = _part_from_json(x, path)
+    try:
+        return float(v)
+    except OverflowError:
+        raise SchemaError(f"number {x!r} is out of range", path)
+
+
 def _space_from_json(obj, path):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("space must be an object with a 'kind'", path)
@@ -107,7 +126,7 @@ def _space_from_json(obj, path):
         return L2
     if obj["kind"] == "finite":
         dim = obj.get("dim")
-        if not isinstance(dim, int) or dim < 1:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise SchemaError("finite space needs a positive integer 'dim'", path)
         return finite(dim)
     raise SchemaError(f"unknown space kind {obj['kind']!r}", path)
@@ -131,8 +150,9 @@ def _diag_from_json(obj, path):
         d = obj["decay"]
         if not isinstance(d, dict) or "C" not in d or "p" not in d:
             raise SchemaError("decay must carry C and p", path + ".decay")
-        decay = (float(d["C"]), float(d["p"]))
-    return int(obj["offset"]), DiagonalSeq(prefix, limit, rule, decay)
+        decay = (_finite_float(d["C"], path + ".decay.C"),
+                 _finite_float(d["p"], path + ".decay.p"))
+    return _index(obj, "offset", path), DiagonalSeq(prefix, limit, rule, decay)
 
 
 def _builtin(obj, path="builtin"):
@@ -169,6 +189,8 @@ def operator_from_json_dict(obj):
         return _builtin(obj)
     if "spaces" not in obj:
         raise SchemaError("missing 'spaces'")
+    if not isinstance(obj["spaces"], list) or not obj["spaces"]:
+        raise SchemaError("'spaces' must be a non-empty list", "spaces")
     spaces = tuple(_space_from_json(s, f"spaces[{i}]")
                    for i, s in enumerate(obj["spaces"]))
     blocks = {}
@@ -176,7 +198,7 @@ def operator_from_json_dict(obj):
         path = f"blocks[{bi}]"
         if not isinstance(b, dict) or "row" not in b or "col" not in b:
             raise SchemaError("block needs 'row' and 'col'", path)
-        i, j = int(b["row"]), int(b["col"])
+        i, j = _index(b, "row", path), _index(b, "col", path)
         if not (0 <= i < len(spaces) and 0 <= j < len(spaces)):
             raise SchemaError("block row/col outside the space list", path)
         kind = b.get("kind")
@@ -194,7 +216,7 @@ def operator_from_json_dict(obj):
                 epath = f"{path}.entries[{ei}]"
                 if "r" not in e or "c" not in e or "value" not in e:
                     raise SchemaError("entry needs r, c, value", epath)
-                entries[(int(e["r"]), int(e["c"]))] = scalar_from_json(
+                entries[(_index(e, "r", epath), _index(e, "c", epath))] = scalar_from_json(
                     e["value"], epath + ".value")
             blk = FiniteRankBlock(entries)
         elif kind == "dense":

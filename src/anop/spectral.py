@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .blocks import BandedBlock
 from .errors import (FiniteComponent, NotPositive, NotSelfAdjoint,
                      UncertifiedTail)
 from .exactla import kernel_basis, mat_sub_diag
@@ -91,16 +92,17 @@ def symbol(op, component):
 
 # -- self-adjointness ---------------------------------------------------------------
 
-def self_adjoint_defect(op, n=None):
-    """Float Frobenius defect ||op - op*|| on a covering window."""
-    d = op - adjoint(op)
+def _window_norm_bound(d):
+    """Float bound on ||d||: the Frobenius norm of a covering window plus
+    the tail limits and decay constants of the banded diagonals."""
     if not d.blocks:
         return 0.0
-    nn = n if n is not None else max(corner_sizes(d)) + 2
-    return float(np.linalg.norm(truncate(d, nn).matrix)) + sum(
-        abs(ds.limit) + (ds.decay[0] if ds.decay else 0.0)
-        for b in d.blocks.values() if hasattr(b, "diagonals")
-        for ds in b.diagonals.values())
+    bound = float(np.linalg.norm(truncate(d, max(corner_sizes(d)) + 2).matrix))
+    for blk in d.blocks.values():
+        if isinstance(blk, BandedBlock):
+            bound += sum(abs(s.limit) + (s.decay[0] if s.decay else 0.0)
+                         for s in blk.diagonals.values())
+    return bound
 
 
 def _blocks_identical(a, b):
@@ -130,7 +132,7 @@ def check_self_adjoint(op, tol):
         if ops_equal_exact(op, adj):
             return
         raise NotSelfAdjoint("operator differs from its adjoint")
-    if self_adjoint_defect(op) > tol:
+    if _window_norm_bound(op - adj) > tol:
         raise NotSelfAdjoint("operator differs from its adjoint beyond tol")
 
 
@@ -184,15 +186,19 @@ def essential_spectrum(op, tol=1e-10):
                 if d.tier == "asymptotic" and d.decay is None:
                     raise UncertifiedTail(
                         f"component {i} has an uncertified asymptotic diagonal")
-        sym = symbol(op, i)
-        if not sym.is_real():
-            raise NotSelfAdjoint("component symbol is not real")
-        if sym.is_constant():
-            pieces.append(("point", sym.constant_value()))
-        else:
-            lo, hi = sym.range_real(tol)
-            pieces.append(("interval", lo, hi))
+        pieces.append(_symbol_piece(op, i, tol))
     return _merge_pieces(pieces, tol)
+
+
+def _symbol_piece(op, i, tol):
+    """('point', c) or ('interval', lo, hi): the range of the real symbol of
+    component i."""
+    sym = symbol(op, i)
+    if not sym.is_real():
+        raise NotSelfAdjoint("component symbol is not real")
+    if sym.is_constant():
+        return ("point", sym.constant_value())
+    return ("interval",) + sym.range_real(tol)
 
 
 def ess_points(pieces):
@@ -308,21 +314,25 @@ class SpectralSummary:
 
     # serialization of just the summary facts
     def to_json(self):
-        from .serialize import scalar_to_json
-        ess = []
-        for p in self.ess:
-            if p[0] == "point":
-                v = p[1]
-                ess.append({"point": scalar_to_json(v) if isinstance(v, Scalar)
-                            else float(v)})
-            else:
-                ess.append({"interval": [p[1], p[2]]})
-        return {"ess": ess,
+        return {"ess": _ess_to_json(self.ess),
                 "discrete": [{"value": d.value, "mult": d.mult,
                               **({"exact": str(d.exact)} if d.exact is not None else {})}
                              for d in self.discrete],
                 "norm": self.norm, "m": self.m, "m_e": self.m_e,
                 "tier": "Exact" if self.tier == "exact" else "Numerical"}
+
+
+def _ess_to_json(ess):
+    from .serialize import scalar_to_json
+    out = []
+    for p in ess:
+        if p[0] == "point":
+            v = p[1]
+            out.append({"point": scalar_to_json(v) if isinstance(v, Scalar)
+                        else float(v)})
+        else:
+            out.append({"interval": [p[1], p[2]]})
+    return out
 
 
 def _classify_component(op, i):
@@ -513,17 +523,11 @@ def _symbolic_summary(s, classes, trunc):
     sizes = corner_sizes(p)
     s._corner_sizes = sizes
     pieces = []
-    for i, cls in classes.items():
-        sym = symbol(p, i)
-        if not sym.is_real():
-            raise NotSelfAdjoint("component symbol is not real")
-        if sym.is_constant():
-            c0 = sym.constant_value()
-            s.c0s[i] = c0
-            pieces.append(("point", c0))
-        else:
-            lo, hi = sym.range_real(tol)
-            pieces.append(("interval", lo, hi))
+    for i in classes:
+        piece = _symbol_piece(p, i, tol)
+        if piece[0] == "point":
+            s.c0s[i] = piece[1]
+        pieces.append(piece)
     s.ess = _merge_pieces(pieces, tol)
     n1 = max(trunc, max(sizes) + 8)
     t1 = truncate(p, n1)
@@ -581,19 +585,13 @@ def summary_eigenspace(s, value, tol=None):
     vf = float(exact_val) if exact_val is not None else \
         (float(value.re) if isinstance(value, Scalar) else float(value))
     if s._path != "structured":
-        vecs = []
         if s._corner_pairs is None:
             n1 = max(256, max(s._corner_sizes) + 8)
             t1 = truncate(p, n1)
-            prs = sym_eigen(t1.matrix, max(tol, 1e-12))
-            s._corner_pairs = prs
-            s._corner_sizes_np = t1.sizes
+            s._corner_pairs = sym_eigen(t1.matrix, max(tol, 1e-12))
             s._labels = t1.labels
-        scale = max((abs(w) for w, _ in s._corner_pairs), default=1.0)
-        for w, v in s._corner_pairs:
-            if abs(w - vf) <= 1e-7 * max(1.0, scale):
-                vecs.append(_vec_from_flat(p, s._labels, v))
-        return Subspace.span(p.spaces, vecs)
+        return Subspace.span(p.spaces,
+                             _near_eigvecs(p, s._labels, s._corner_pairs, vf))
     sizes = s._corner_sizes
     starts, labels = window_layout(p.spaces, sizes)
     corner_vecs = []
@@ -602,12 +600,9 @@ def summary_eigenspace(s, value, tol=None):
         if ker is None:
             ker = kernel_basis(mat_sub_diag(s._corner, Scalar.exact(exact_val)))
         for kv in ker:
-            corner_vecs.append(_vec_from_flat(p, labels, kv, exact=True))
+            corner_vecs.append(VectorExpr.from_flat(p.spaces, labels, kv))
     else:
-        scale = max((abs(w) for w, _ in s._corner_pairs), default=1.0)
-        for w, v in s._corner_pairs:
-            if abs(w - vf) <= 1e-7 * max(1.0, scale):
-                corner_vecs.append(_vec_from_flat(p, labels, v))
+        corner_vecs = _near_eigvecs(p, labels, s._corner_pairs, vf)
     tails = {}
     for i, c0 in s.c0s.items():
         same = (exact_val is not None and c0.is_exact and Fraction(c0.re) == exact_val)
@@ -632,16 +627,12 @@ def summary_eigenspace(s, value, tol=None):
     return Subspace.span(p.spaces, vecs)
 
 
-def _vec_from_flat(p, labels, flat, exact=False):
-    data = [dict() for _ in p.spaces]
-    for (ci, k), v in zip(labels, flat):
-        if exact:
-            if not v.is_zero():
-                data[ci][k] = v
-        else:
-            if abs(v) > 1e-13:
-                data[ci][k] = Scalar.inexact(v.real, v.imag)
-    return VectorExpr(p.spaces, data)
+def _near_eigvecs(p, labels, pairs, vf):
+    """Eigenvectors of the float pairs whose value lies within 1e-7 of vf,
+    relative to the largest eigenvalue."""
+    scale = max((abs(w) for w, _ in pairs), default=1.0)
+    return [VectorExpr.from_flat(p.spaces, labels, v, 1e-13)
+            for w, v in pairs if abs(w - vf) <= 1e-7 * max(1.0, scale)]
 
 
 def count_spectrum_in(s, lo, hi):
@@ -706,16 +697,7 @@ class ModulusSummary:
         return summary_eigenspace(self.base, vf * vf, tol)
 
     def to_json(self):
-        from .serialize import scalar_to_json
-        ess = []
-        for p in self.ess:
-            if p[0] == "point":
-                v = p[1]
-                ess.append({"point": scalar_to_json(v) if isinstance(v, Scalar)
-                            else float(v)})
-            else:
-                ess.append({"interval": [p[1], p[2]]})
-        return {"ess": ess,
+        return {"ess": _ess_to_json(self.ess),
                 "discrete": [{"value": d.value, "mult": d.mult} for d in self.discrete],
                 "norm": self.norm, "m": self.m, "m_e": self.m_e,
                 "tier": "Exact" if self.tier == "exact" else "Numerical"}

@@ -34,8 +34,17 @@ class VectorExpr:
                            for i in range(len(shape))])
 
     @classmethod
-    def from_lists(cls, shape, lists):
-        data = [{i: v for i, v in enumerate(part)} for part in lists]
+    def from_flat(cls, shape, labels, flat, cutoff=None):
+        """Vector with coordinate flat[i] at labels[i] = (component, k). Exact
+        Scalars keep every nonzero entry; complex floats keep the entries of
+        modulus above `cutoff`."""
+        data = [dict() for _ in shape]
+        for (ci, k), v in zip(labels, flat):
+            if cutoff is None:
+                if not v.is_zero():
+                    data[ci][k] = v
+            elif abs(v) > cutoff:
+                data[ci][k] = Scalar.inexact(v.real, v.imag)
         return cls(shape, data)
 
     def component(self, ci):

@@ -128,6 +128,44 @@ def test_parse_error_exit_65(tmp_path):
     p.write_text("{broken")
     code, _ = run_cli(["check", str(p), "--predicate", "normal"])
     assert code == 65
+    _, ex1 = run_cli(["gallery", "example1"])
+    hostile = {
+        "nan": ex1.replace('"value":[1,0]', '"value":[NaN,0]'),
+        "overflow": ex1.replace('"limit":[2,0]', '"limit":[1e400,0]'),
+        "offset": ex1.replace('"offset":1,', '"offset":1.5,'),
+        "empty": '{"blocks":[],"spaces":[]}',
+    }
+    for name, text in hostile.items():
+        assert text != ex1
+        p = tmp_path / f"{name}.json"
+        p.write_text(text)
+        for argv in (["check", str(p), "--predicate", "hyponormal"],
+                     ["check", str(p), "--predicate", "paranormal"],
+                     ["spectrum", str(p)], ["decompose", str(p)],
+                     ["certify", str(p)]):
+            code, out = run_cli(argv + ["--samples", "50"])
+            assert code == 65 and out == "", (name, argv)
+
+
+def test_decompose_kernel_below_tail(tmp_path):
+    # flip (+) 0 (+) 2I: normal, star-paranormal and AN with a kernel below
+    # the tail value; the kernel stays in the residual block
+    p = tmp_path / "flip_zero_2i.json"
+    p.write_text('{"spaces": [{"kind": "finite", "dim": 2}, '
+                 '{"kind": "finite", "dim": 1}, {"kind": "l2"}], "blocks": ['
+                 '{"row": 0, "col": 0, "kind": "dense", "matrix": [[0, 1], [1, 0]]}, '
+                 '{"row": 2, "col": 2, "kind": "banded", '
+                 '"diagonals": [{"offset": 0, "limit": 2}]}]}')
+    code, out = run_cli(["decompose", str(p), "--samples", "300", "--json"])
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert rep["tier"] == "Exact" and rep["m_e"] == 2.0
+    assert rep["delta_spectrum"] == [1.0, 0.0]
+    assert rep["absorbed_deltas"] == [0.0]
+    assert [(b["value"], b["dim"]) for b in rep["below"]] == [(1.0, 2)]
+    assert [[], [[0, [1, 0]]], []] in rep["h3"]["vectors"]
+    assert rep["s_star_a_norm"] == 0.0 and rep["s_star_a_exact_zero"]
+    assert rep["reconstruction_residual"] == 0.0 and rep["split_residual"] == 0.0
 
 
 def test_usage_error_exit_64():

@@ -210,6 +210,26 @@ def test_certify_invertible_path():
     assert cert.commutator_bound == 0.0
 
 
+def test_certify_checks_hypotheses_once(monkeypatch):
+    import anop.decomposition as dec
+    calls = {"an_check": 0, "star_paranormal_check": 0}
+
+    def counted(name):
+        orig = getattr(dec, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dec, name, counted(name))
+    t = direct_sum(flip_unitary(), identity_operator((L2,)).scaled(2))
+    cert = certify_normal(t, samples=100)
+    assert cert.route == "InvertiblePath" and cert.normal
+    assert calls == {"an_check": 1, "star_paranormal_check": 1}
+
+
 def test_certify_kernel_path():
     zero1 = OperatorExpr((finite(1),), {})
     t = direct_sum(zero1, flip_unitary().scaled(3),

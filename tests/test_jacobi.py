@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,23 @@ def test_deterministic_ordering():
 def test_rejects_non_self_adjoint():
     with pytest.raises(NotSelfAdjoint):
         sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-10)
+
+
+def test_rejects_nan_entry():
+    # a NaN must not reach the eigenvalue-cluster loop of the complex path,
+    # which never advances on NaN; a daemon thread keeps a hang from
+    # stalling the suite
+    m = np.array([[1.0, complex(np.nan, 1.0)], [complex(np.nan, -1.0), 2.0]])
+    raised = []
+
+    def run():
+        try:
+            sym_eigen(m, 1e-10)
+        except NotSelfAdjoint as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(10)
+    assert not worker.is_alive(), "sym_eigen still running after 10 s"
+    assert raised

@@ -83,6 +83,33 @@ def test_schema_errors_carry_paths():
     with pytest.raises(SchemaError):
         parse('{"spaces": [{"kind": "l2"}], "blocks": [{"row": 0, "col": 5, '
               '"kind": "banded", "diagonals": []}]}')
+    with pytest.raises(SchemaError) as exc:
+        parse('{"spaces": []}')
+    assert "spaces" in str(exc.value)
+    banded = ('{"spaces": [{"kind": "l2"}], "blocks": [{"row": 0, "col": 0, '
+              '"kind": "banded", "diagonals": [%s]}]}')
+    for diag, where in [('{"offset": 0, "limit": [NaN, 0]}', "limit[0]"),
+                        ('{"offset": 0, "prefix": [[1, 1e400]]}', "prefix[0][1]"),
+                        ('{"offset": 0, "limit": -Infinity}', "limit"),
+                        ('{"offset": 0, "decay": {"C": NaN, "p": 1}}', "decay.C"),
+                        ('{"offset": 0, "decay": {"C": 1, "p": 1e400}}', "decay.p"),
+                        ('{"offset": 1.5}', "diagonals[0]"),
+                        ('{"offset": true}', "diagonals[0]"),
+                        ('{"offset": "1"}', "diagonals[0]")]:
+        with pytest.raises(SchemaError) as exc:
+            parse(banded % diag)
+        assert where in str(exc.value)
+    for block, where in [('{"row": 0.5, "col": 0, "kind": "dense", "matrix": [[1]]}',
+                          "blocks[0]"),
+                         ('{"row": 0, "col": false, "kind": "dense", "matrix": [[1]]}',
+                          "blocks[0]"),
+                         ('{"row": 0, "col": 0, "kind": "finite_rank", "entries": '
+                          '[{"r": 1.5, "c": 0, "value": 1}]}', "entries[0]"),
+                         ('{"row": 0, "col": 0, "kind": "finite_rank", "entries": '
+                          '[{"r": 0, "c": true, "value": 1}]}', "entries[0]")]:
+        with pytest.raises(SchemaError) as exc:
+            parse('{"spaces": [{"kind": "finite", "dim": 2}], "blocks": [%s]}' % block)
+        assert where in str(exc.value)
 
 
 def test_missing_limit_defaults_to_zero():
