@@ -7,6 +7,9 @@ anop certify FILE                    exit 0 normal proven, 2 not applicable
 anop audit
 anop gallery NAME                    operator file on stdout
 
+Any command may also exit 3 (not self-adjoint), 64 (usage), 65 (parse error)
+or 70 (internal error, traceback on stderr); a crash never exits 1.
+
 Reports embed the full run configuration and the tool version; identical
 inputs produce byte-identical JSON.
 """
@@ -15,7 +18,10 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import asdict, dataclass
+
+from numpy.linalg import LinAlgError
 
 from . import __version__
 from .errors import (AnopError, NotAN, NotSelfAdjoint, SchemaError,
@@ -29,6 +35,7 @@ EXIT_NOT_SELF_ADJOINT = 3
 EXIT_STRUCTURE = 4
 EXIT_USAGE = 64
 EXIT_PARSE = 65
+EXIT_INTERNAL = 70
 
 
 @dataclass
@@ -151,18 +158,12 @@ def cmd_spectrum(args):
     t = _load_operator(args.file)
     from .operators import adjoint, multiply
     from .spectral import modulus_summary, positive_spectral_summary
-    try:
-        if args.of == "T*T":
-            s = positive_spectral_summary(multiply(adjoint(t), t), cfg.tol,
-                                          cfg.trunc)
-        elif args.of == "TT*":
-            s = positive_spectral_summary(multiply(t, adjoint(t)), cfg.tol,
-                                          cfg.trunc)
-        else:
-            s = modulus_summary(t, cfg.tol, cfg.trunc)
-    except NotSelfAdjoint as exc:
-        print(f"anop: {exc}", file=sys.stderr)
-        return EXIT_NOT_SELF_ADJOINT
+    if args.of == "T*T":
+        s = positive_spectral_summary(multiply(adjoint(t), t), cfg.tol, cfg.trunc)
+    elif args.of == "TT*":
+        s = positive_spectral_summary(multiply(t, adjoint(t)), cfg.tol, cfg.trunc)
+    else:
+        s = modulus_summary(t, cfg.tol, cfg.trunc)
     print(_report(s.to_json(), cfg))
     return 0
 
@@ -273,9 +274,14 @@ def main(argv=None):
     except AnopError as exc:
         print(f"anop: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"anop: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        # numpy's LinAlgError is a ValueError, but not a usage error
+        if isinstance(exc, ValueError) and not isinstance(exc, LinAlgError):
+            print(f"anop: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        traceback.print_exc()
+        print(f"anop: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

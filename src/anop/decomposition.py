@@ -20,11 +20,11 @@ from .operators import (L2, OperatorExpr, adjoint, apply, corner_sizes,
                         dense_window, finite, identity_like, multiply,
                         ops_equal_exact, truncate, window_layout, window_sizes)
 from .predicates import (NUMERICAL, PROVEN, REFUTED, PredicateVerdict,
-                         _commutator, _jsonable, an_check, compute_M_and_Mstar,
-                         is_normal, star_paranormal_check)
+                         _jsonable, _normal_verdict, an_check,
+                         compute_M_and_Mstar, star_paranormal_check)
 from .scalars import Scalar, scalar_sqrt
-from .spectral import (_exact_sqrt_opt, _window_norm_bound,
-                       adjoint_modulus_summary, kernel_dims, modulus_summary,
+from .spectral import (_exact_sqrt_opt, _kernel_dims, _window_norm_bound,
+                       adjoint_modulus_summary, modulus_summary,
                        positive_spectral_summary, summary_eigenspace)
 from .subspaces import Subspace
 from .vectors import VectorExpr
@@ -269,7 +269,7 @@ def _distinct_values(vals):
     return sorted(dedup.values(), key=lambda p: -p[0])
 
 
-def _restriction_matrix(t, space, lam, lam_exact, tol):
+def _restriction_matrix(t, space, lam):
     """Matrix of T restricted to a finite subspace, divided by lam, in the
     orthonormal basis; returns (matrix, containment_residual, unitary_residual)."""
     basis = space.onb()
@@ -340,7 +340,7 @@ def _peel(t, s_q, s_qq, tol, max_peel, samples, seed, trunc):
                 f"eigenspaces of |T| and |T*| differ at value {lam:.12g} "
                 f"(projector residual {res:.3g}); the input fails the "
                 f"star-paranormal structure undetectably")
-        mat, cont, ur = _restriction_matrix(t, g1, lam, lam_exact, tol)
+        mat, cont, ur = _restriction_matrix(t, g1, lam)
         if cont > tol * max(1.0, lam) or ur > tol * 10:
             raise StructureViolation(
                 f"restriction at value {lam:.12g} is not unitary "
@@ -396,7 +396,7 @@ def _peel(t, s_q, s_qq, tol, max_peel, samples, seed, trunc):
             eq, _ = g1.equals(g2, tol)
             inv_ok = eq and invariance_check(t, g1, tol).status in (PROVEN, NUMERICAL)
             if inv_ok and g1.dim():
-                mat, cont, ur = _restriction_matrix(t, g1, dl, dl_exact, tol)
+                mat, cont, ur = _restriction_matrix(t, g1, dl)
                 if cont <= tol * max(1.0, dl) and ur <= 10 * tol:
                     below.append(PeeledLevel(dl, dl_exact, g1, mat, ur))
                     below_vecs.extend(g1.vectors)
@@ -469,7 +469,7 @@ def _peel(t, s_q, s_qq, tol, max_peel, samples, seed, trunc):
                     "seed": seed, "trunc": trunc},
         notes=notes)
     if h3 is not None and not truncated:
-        _reconstruction_residual(cert, t, tol)
+        _reconstruction_residual(cert, t)
     if s_star_a_norm > tol:
         raise StructureViolation(
             f"tail coupling is not one-sided: ||S*A|| = {s_star_a_norm:.3g}")
@@ -497,7 +497,7 @@ def _gram_matrix(t, basis):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def _projector_matrix(space, labels, shape):
+def _projector_matrix(space, labels):
     n = len(labels)
     p = np.zeros((n, n), dtype=complex)
     if space is None:
@@ -518,15 +518,15 @@ def _projector_matrix(space, labels, shape):
     return p
 
 
-def _reconstruction_residual(cert, t, tol):
+def _reconstruction_residual(cert, t):
     base = max(corner_sizes(t))
     n = 4 * base
     sizes = window_sizes(t, n)
     starts, labels = window_layout(t.spaces, sizes)
     tw = truncate(t, n).matrix
-    p1s = [_projector_matrix(lvl.space, labels, t.spaces) for lvl in cert.peeled]
-    p2 = _projector_matrix(cert.h2, labels, t.spaces)
-    p3 = _projector_matrix(cert.h3, labels, t.spaces)
+    p1s = [_projector_matrix(lvl.space, labels) for lvl in cert.peeled]
+    p2 = _projector_matrix(cert.h2, labels)
+    p3 = _projector_matrix(cert.h3, labels)
     rec = p2 @ tw @ p2 + p2 @ tw @ p3 + p3 @ tw @ p3
     for p1 in p1s:
         rec += p1 @ tw @ p1
@@ -604,7 +604,7 @@ def assemble_upper(a, b_cols, c_rows):
     return OperatorExpr(spaces, blocks)
 
 
-def _structural_inverse(a, tol):
+def _structural_inverse(a):
     """Inverse of a scaled-unitary or all-finite block; None if neither
     structure applies."""
     if all(sp.kind == "finite" for sp in a.spaces):
@@ -677,8 +677,8 @@ def block_upper_inverse(a, b_cols, c_rows, tol=1e-10):
     moduli of the assembled operator and of its adjoint."""
     n = len(c_rows)
     assembled = assemble_upper(a, b_cols, c_rows)
-    mm, mm_star = _certified_invertible(assembled, tol)
-    a_inv, a_exact = _structural_inverse(a, tol)
+    _certified_invertible(assembled, tol)
+    a_inv, a_exact = _structural_inverse(a)
     if a_inv is None:
         raise NotInvertible("the (1,1) block is not in an invertible "
                             "structural form")
@@ -784,6 +784,7 @@ def certify_normal(t, tol=1e-10, samples=2000, seed=42, trunc=256, max_peel=64):
     _require_hypotheses(t, tol, samples, seed, trunc)
     msum = modulus_summary(t, tol, trunc)
     amsum = adjoint_modulus_summary(t, tol, trunc)
+    comm = msum.base.op - amsum.base.op
     details = {"m": msum.m, "m_adjoint": amsum.m, "m_e": msum.m_e,
                "norm": msum.norm}
     if min(msum.m, amsum.m) > tol:
@@ -795,16 +796,15 @@ def certify_normal(t, tol=1e-10, samples=2000, seed=42, trunc=256, max_peel=64):
         if a_norm > tol:
             raise StructureViolation(
                 f"invertible input kept a nonzero tail coupling ({a_norm:.3g})")
-        return _conclude(t, "InvertiblePath", details, tol)
-    kd = kernel_dims(t, tol, trunc)
+        return _conclude(comm, "InvertiblePath", details)
+    kd = _kernel_dims(t, msum.base, amsum.base, tol)
     details["kernel_dims"] = kd.to_json()
     dims_equal_finite = (isinstance(kd.dim_t, int) and kd.dim_t == kd.dim_t_star)
     details["m_e_adjoint"] = amsum.m_e
     weyl_ok = dims_equal_finite and msum.m_e > tol and amsum.m_e > tol
     details["zero_outside_weyl_spectrum"] = weyl_ok
     if not weyl_ok:
-        verdict = is_normal(t)
-        details["is_normal"] = verdict.status
+        details["is_normal"] = _normal_verdict(comm).status
         return NormalityCertificate("NotApplicable", False, float("nan"), details)
     if kd.dim_t == 0:
         # trivial kernel with a positive essential minimum: the operator is
@@ -818,13 +818,14 @@ def certify_normal(t, tol=1e-10, samples=2000, seed=42, trunc=256, max_peel=64):
     details["restricted_route"] = sub.route
     if not sub.normal:
         return NormalityCertificate("KernelDimPath", False, float("nan"), details)
-    return _conclude(t, "KernelDimPath", details, tol)
+    return _conclude(comm, "KernelDimPath", details)
 
 
-def _conclude(t, route, details, tol):
-    verdict = is_normal(t)
+def _conclude(comm, route, details):
+    """The certificate of a route that applied, from comm = T*T - TT*."""
+    verdict = _normal_verdict(comm)
     details["is_normal"] = verdict.status
-    bound = _window_norm_bound(_commutator(t))
+    bound = _window_norm_bound(comm)
     if verdict.status == REFUTED:
         raise StructureViolation(
             "a normality route applied but T*T != TT*; the input fails the "

@@ -191,7 +191,6 @@ def combine_diagonals(parts):
         elif d.decay is not None:
             envelope = True
     rule = None
-    decay = None
     if rules and not envelope:
         acc = rules[0]
         for r in rules[1:]:
@@ -200,28 +199,21 @@ def combine_diagonals(parts):
         for c, d in parts:
             if d.rule is None and d.decay is None:
                 consts = consts + c * d.limit
-        if not consts.is_zero():
-            if not (consts.is_exact and consts.is_real()):
-                envelope, rule = True, None
-            else:
-                acc = acc + RationalFn.const(Fraction(consts.re))
-        if rule is None and not envelope:
+        if consts.is_zero():
             rule = acc
+        elif consts.is_exact and consts.is_real():
+            rule = acc + RationalFn.const(Fraction(consts.re))
+        else:
+            envelope = True
+    pre = [sum((c * d.entry(i) for c, d in parts), ZERO) for i in range(pre_len)]
     if envelope:
         c_tot, p_min = 0.0, None
         for c, d in parts:
             if d.decay is not None:
                 c_tot += abs(c) * d.decay[0]
                 p_min = d.decay[1] if p_min is None else min(p_min, d.decay[1])
-        decay = (c_tot, p_min if p_min is not None else 1.0)
-        pre = []
-        for i in range(pre_len):
-            try:
-                pre.append(sum((c * d.entry(i) for c, d in parts), ZERO))
-            except UncertifiedTail:
-                raise
-        return DiagonalSeq(pre, limit, decay=decay)
-    pre = [sum((c * d.entry(i) for c, d in parts), ZERO) for i in range(pre_len)]
+        return DiagonalSeq(pre, limit,
+                           decay=(c_tot, p_min if p_min is not None else 1.0))
     if rule is not None:
         return DiagonalSeq(pre, rule=rule)
     return DiagonalSeq(pre, limit)

@@ -1,8 +1,8 @@
 """Exact linear algebra over rational-complex scalars.
 
 Matrices are lists of lists of exact Scalars. Used for corner kernels,
-eigenvalue verification, PSD decisions with witnesses, and exact
-orthogonalization; float work lives in the jacobi module instead.
+eigenvalue verification, inverses and PSD decisions with witnesses; float
+work lives in the jacobi module instead.
 """
 
 from fractions import Fraction
@@ -111,35 +111,6 @@ def inverse(a):
     return [row[n:] for row in aug]
 
 
-def gram_schmidt(vectors, inner, norm2):
-    """Orthogonalize without normalizing; drops exact zeros.
-
-    inner(u, v) and norm2(u) must be exact; works for both coordinate lists
-    and VectorExpr via the passed callables.
-    """
-    out = []
-    for v in vectors:
-        w = v
-        for u in out:
-            coef = inner(w, u) / norm2(u)
-            w = _axpy(w, u, -coef)
-        if not _is_zero_vec(w):
-            out.append(w)
-    return out
-
-
-def _axpy(v, u, c):
-    if hasattr(v, "shape"):  # VectorExpr
-        return v + u.scaled(c)
-    return [a + c * b for a, b in zip(v, u)]
-
-
-def _is_zero_vec(v):
-    if hasattr(v, "shape"):
-        return v.is_zero()
-    return all(x.is_zero() for x in v)
-
-
 def psd_decide(m):
     """Exact PSD decision for a Hermitian matrix of exact Scalars.
 
@@ -195,7 +166,6 @@ def _zero_diag_witness(a, n, p, q):
     aqq = a[q][q]
     # x = e_p + t e_q with t = -s * conj(apq): form = -2 s |apq|^2 + s^2 |apq|^2 aqq
     s = Fraction(1)
-    mag2 = apq.abs2().re
     if aqq.re > 0:
         s = min(Fraction(1), Fraction(1) / Fraction(aqq.re))
     t = apq.conj() * Scalar.exact(-s)

@@ -207,9 +207,9 @@ def adjoint(op):
 
 # -- multiply ------------------------------------------------------------------
 
-def _tail_fn(d, delta, start):
-    """RationalFn for entry(k + delta), valid for k >= start; None if not
-    expressible as a real rational rule."""
+def _tail_fn(d, delta):
+    """RationalFn for entry(k + delta), valid past the prefixes of the
+    product; None if not expressible as a real rational rule."""
     if d.rule is not None:
         return d.rule.shift_index(delta) if delta != 0 else d.rule
     if d.decay is not None:
@@ -256,8 +256,8 @@ def _mul_banded(a, b):
                         continue
                     expressible = False
                     break
-                fa = _tail_fn(da, delta_a, start)
-                fb = _tail_fn(db, delta_b, start)
+                fa = _tail_fn(da, delta_a)
+                fb = _tail_fn(db, delta_b)
                 if fa is None or fb is None:
                     expressible = False
                     break
@@ -422,41 +422,10 @@ def _acc_entries(acc, part):
 
 # -- apply ---------------------------------------------------------------------
 
-def apply(op, x):
-    """Exact image of a finitely supported vector."""
-    if x.shape != op.spaces:
-        raise ShapeMismatch("vector not shaped for the operator's domain")
-    out = [dict() for _ in op.spaces]
-    for (i, j), blk in op.blocks.items():
-        xs = x.data[j]
-        if not xs:
-            continue
-        tgt = out[i]
-        if isinstance(blk, BandedBlock):
-            for c, v in xs.items():
-                for off, dseq in blk.diagonals.items():
-                    r = c + off
-                    if r < 0:
-                        continue
-                    val = dseq.entry(min(r, c)) * v
-                    if not val.is_zero():
-                        tgt[r] = tgt.get(r, ZERO) + val
-        elif isinstance(blk, FiniteRankBlock):
-            for (r, c), w in blk.entries.items():
-                v = xs.get(c)
-                if v is not None:
-                    tgt[r] = tgt.get(r, ZERO) + w * v
-        else:
-            for c, v in xs.items():
-                for r in range(blk.nrows):
-                    w = blk.matrix[r][c]
-                    if not w.is_zero():
-                        tgt[r] = tgt.get(r, ZERO) + w * v
-    return VectorExpr(op.spaces, out)
-
-
-def apply_float(op, xs):
-    """Float image of a sparse float vector (list of dicts coord -> complex)."""
+def _image(op, xs, entry, zero):
+    """Image of the per-component coordinate maps xs under op: each entry of
+    op goes through `entry` before it multiplies a coordinate, and `zero` is
+    the zero of the result."""
     out = [dict() for _ in op.spaces]
     for (i, j), blk in op.blocks.items():
         src = xs[j]
@@ -469,21 +438,33 @@ def apply_float(op, xs):
                     r = c + off
                     if r < 0:
                         continue
-                    val = complex(dseq.entry(min(r, c))) * v
-                    if val != 0:
-                        tgt[r] = tgt.get(r, 0j) + val
+                    val = entry(dseq.entry(min(r, c))) * v
+                    if val != zero:
+                        tgt[r] = tgt.get(r, zero) + val
         elif isinstance(blk, FiniteRankBlock):
             for (r, c), w in blk.entries.items():
                 v = src.get(c)
                 if v is not None:
-                    tgt[r] = tgt.get(r, 0j) + complex(w) * v
+                    tgt[r] = tgt.get(r, zero) + entry(w) * v
         else:
             for c, v in src.items():
                 for r in range(blk.nrows):
                     w = blk.matrix[r][c]
                     if not w.is_zero():
-                        tgt[r] = tgt.get(r, 0j) + complex(w) * v
+                        tgt[r] = tgt.get(r, zero) + entry(w) * v
     return out
+
+
+def apply(op, x):
+    """Exact image of a finitely supported vector."""
+    if x.shape != op.spaces:
+        raise ShapeMismatch("vector not shaped for the operator's domain")
+    return VectorExpr(op.spaces, _image(op, x.data, Scalar.of, ZERO))
+
+
+def apply_float(op, xs):
+    """Float image of a sparse float vector (list of dicts coord -> complex)."""
+    return _image(op, xs, complex, 0j)
 
 
 # -- windows and truncation ------------------------------------------------------

@@ -17,8 +17,7 @@ import numpy as np
 from .errors import NotNormAttaining
 from .exactla import psd_decide, quad_form
 from .operators import (adjoint, apply, apply_float, corner_sizes, dense_window,
-                        identity_like, multiply, op_is_zero, truncate,
-                        window_layout)
+                        multiply, op_is_zero, truncate, window_layout)
 from .scalars import Scalar, ZERO
 from .spectral import (count_spectrum_in, modulus_summary,
                        positive_spectral_summary, summary_eigenspace, symbol)
@@ -187,7 +186,11 @@ def basis_candidates(t):
 
 def is_normal(t):
     """Proven or Refuted exactly on exact scalars; Numerical otherwise."""
-    d = _commutator(t)
+    return _normal_verdict(_commutator(t))
+
+
+def _normal_verdict(d):
+    """is_normal from the commutator d = T*T - TT*."""
     if op_is_zero(d):
         return PredicateVerdict("normal", PROVEN,
                                 evidence={"rule": "T*T - TT* is structurally zero"})
@@ -364,7 +367,6 @@ def star_paranormal_check(t, tol=1e-10, k_grid=64, samples=100000, seed=42,
     t2 = multiply(t, t)
     s4 = multiply(adjoint(t2), t2)
     tts = multiply(t, adjoint(t))
-    ident = identity_like(t)
     norm2 = modulus_summary(t, tol, trunc).norm ** 2
     if norm2 <= 0:
         return PredicateVerdict("star_paranormal", PROVEN,
@@ -379,16 +381,16 @@ def star_paranormal_check(t, tol=1e-10, k_grid=64, samples=100000, seed=42,
     sym4 = {i: symbol(s4, i) for i in s4.l2_components()}
     sym2 = {i: symbol(tts, i) for i in tts.l2_components()}
     thetas = np.linspace(0, 2 * np.pi, 512, endpoint=False)
+    sym_vals = [(sym4[i].eval_theta(thetas).real, sym2[i].eval_theta(thetas).real)
+                for i in sym4]
     min_symbol = float("inf")
     min_section = float("inf")
     for k in ks:
         mk = sec4 - 2.0 * k * sec2 + (k * k) * eye
         wmin = float(np.linalg.eigvalsh(mk)[0])
         min_section = min(min_section, wmin)
-        for i in sym4:
-            vals = np.array([sym4[i].eval_theta(th).real - 2 * k *
-                             sym2[i].eval_theta(th).real + k * k for th in thetas])
-            min_symbol = min(min_symbol, float(np.min(vals)))
+        for v4, v2 in sym_vals:
+            min_symbol = min(min_symbol, float(np.min(v4 - 2 * k * v2 + k * k)))
         if wmin < -tol * max(1.0, norm2 ** 2):
             worst = (k, mk, wmin)
     if worst is not None:

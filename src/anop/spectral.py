@@ -38,10 +38,15 @@ class Symbol:
     coeffs: dict
 
     def eval_theta(self, theta):
-        acc = 0j
+        """Value at an angle or an array of angles. Complex products are
+        spelled out in real arithmetic (numpy's complex array product rounds
+        unlike its scalar one), so an array matches single angles bit for bit."""
+        re = im = 0.0
         for j, c in self.coeffs.items():
-            acc += complex(c) * np.exp(1j * j * theta)
-        return acc
+            c, e = complex(c), np.exp(1j * j * theta)
+            re = re + (c.real * e.real - c.imag * e.imag)
+            im = im + (c.real * e.imag + c.imag * e.real)
+        return re + 1j * im
 
     def is_real(self):
         for j, c in self.coeffs.items():
@@ -60,12 +65,12 @@ class Symbol:
         """[min, max] of the (real) symbol by dense sampling plus local
         refinement of the bracketing extrema."""
         thetas = np.linspace(0.0, 2.0 * math.pi, THETA_SAMPLES, endpoint=False)
-        vals = np.array([self.eval_theta(t).real for t in thetas])
-        lo = self._refine(thetas, vals, np.argmin(vals), sign=+1, tol=tol)
-        hi = -self._refine(thetas, -vals, np.argmax(vals), sign=-1, tol=tol)
+        vals = self.eval_theta(thetas).real
+        lo = self._refine(thetas, np.argmin(vals), sign=+1, tol=tol)
+        hi = -self._refine(thetas, np.argmax(vals), sign=-1, tol=tol)
         return lo, hi
 
-    def _refine(self, thetas, vals, idx, sign, tol):
+    def _refine(self, thetas, idx, sign, tol):
         step = 2.0 * math.pi / len(thetas)
         a = thetas[idx] - step
         b = thetas[idx] + step
@@ -77,7 +82,7 @@ class Symbol:
                 b = m2
             else:
                 a = m1
-        return f(0.5 * (a + b)) * sign if sign == 1 else f(0.5 * (a + b))
+        return f(0.5 * (a + b))
 
 
 def symbol(op, component):
@@ -813,8 +818,8 @@ class KernelDims:
                 "tier": self.tier}
 
 
-def _kernel_dim_of_positive(q, tol, trunc):
-    s = positive_spectral_summary(q, tol, trunc)
+def _kernel_dim_of_positive(s, tol):
+    """(dimension, exact?) of the kernel of the operator summarised by s."""
     if s._path != "structured":
         raise UncertifiedTail(
             "kernel dimensions need constant symbols or certified diagonal "
@@ -831,14 +836,19 @@ def _kernel_dim_of_positive(q, tol, trunc):
     d = sp.dim()
     if d is None:
         return "infinite", True
-    return d, q.is_exact_scalars()
+    return d, s.op.is_exact_scalars()
+
+
+def _kernel_dims(t, s_q, s_qq, tol):
+    """kernel_dims from the summaries s_q of T*T and s_qq of TT*."""
+    d1, e1 = _kernel_dim_of_positive(s_q, tol)
+    d2, e2 = _kernel_dim_of_positive(s_qq, tol)
+    exact = e1 and e2 and t.is_exact_scalars()
+    return KernelDims(d1, d2, "exact" if exact else "numerical")
 
 
 def kernel_dims(t, tol=1e-10, trunc=256):
     """dim N(T) and dim N(T*) through the zero eigenspaces of T*T and TT*."""
-    q = multiply(adjoint(t), t)
-    qq = multiply(t, adjoint(t))
-    d1, e1 = _kernel_dim_of_positive(q, tol, trunc)
-    d2, e2 = _kernel_dim_of_positive(qq, tol, trunc)
-    exact = e1 and e2 and t.is_exact_scalars()
-    return KernelDims(d1, d2, "exact" if exact else "numerical")
+    s_q = positive_spectral_summary(multiply(adjoint(t), t), tol, trunc)
+    s_qq = positive_spectral_summary(multiply(t, adjoint(t)), tol, trunc)
+    return _kernel_dims(t, s_q, s_qq, tol)

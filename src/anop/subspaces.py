@@ -3,7 +3,7 @@ zero, full, finite spans, and cofinite subspaces (per-component coordinate
 tails plus finitely many extra directions orthogonal to those tails)."""
 
 from .errors import ShapeMismatch
-from .exactla import gram_schmidt, kernel_basis
+from .exactla import kernel_basis
 from .scalars import Scalar, scalar_sqrt
 from .vectors import VectorExpr
 
@@ -12,18 +12,17 @@ ZERO_KIND, FULL, SPAN, COFINITE = "zero", "full", "span", "cofinite"
 
 def orthogonalize(vectors):
     """Orthogonal (unnormalized) family spanning the same space; exact when
-    the inputs are exact. Zero vectors are dropped."""
+    the inputs are exact. Exact residuals are dropped when zero, float ones
+    when at most 1e-12 * max(1, ||v||)."""
     vecs = [v for v in vectors if not v.is_zero()]
-    if not vecs:
-        return []
-    if all(v.is_exact() for v in vecs):
-        return gram_schmidt(vecs, lambda a, b: a.inner(b), lambda a: a.norm2())
+    exact = all(v.is_exact() for v in vecs)
     out = []
     for v in vecs:
         w = v
         for u in out:
             w = w + u.scaled(Scalar.of(-1) * (w.inner(u) / u.norm2()))
-        if w.norm_float() > 1e-12 * max(1.0, v.norm_float()):
+        if (not w.is_zero() if exact
+                else w.norm_float() > 1e-12 * max(1.0, v.norm_float())):
             out.append(w)
     return out
 

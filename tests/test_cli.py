@@ -147,6 +147,35 @@ def test_parse_error_exit_65(tmp_path):
             assert code == 65 and out == "", (name, argv)
 
 
+@pytest.mark.parametrize("power, argv", [
+    (400, ["spectrum"]),
+    (400, ["decompose", "--samples", "50"]),
+    (400, ["check", "--predicate", "an"]),
+    (200, ["spectrum"]),
+])
+def test_crash_exits_70_not_refuted(tmp_path, capsys, power, argv):
+    # an exact limit whose square overflows a float crashes the float tier;
+    # the crash must exit 70 (internal error), never 1 (Refuted)
+    _, ex1 = run_cli(["gallery", "example1"])
+    p = tmp_path / "huge.json"
+    p.write_text(ex1.replace('"limit":[2,0]', f'"limit":[{10 ** power},0]'))
+    code, out = run_cli([argv[0], str(p)] + argv[1:])
+    assert code == 70 and out == ""
+    assert "internal error: OverflowError" in capsys.readouterr().err
+
+
+def test_linalg_error_exits_70(shift_file, capsys, monkeypatch):
+    import numpy as np
+    import anop.predicates
+
+    def broken(t):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(anop.predicates, "is_normal", broken)
+    code, _ = run_cli(["check", shift_file, "--predicate", "normal"])
+    assert code == 70
+    assert "internal error: LinAlgError" in capsys.readouterr().err
+
+
 def test_decompose_kernel_below_tail(tmp_path):
     # flip (+) 0 (+) 2I: normal, star-paranormal and AN with a kernel below
     # the tail value; the kernel stays in the residual block

@@ -230,6 +230,39 @@ def test_certify_checks_hypotheses_once(monkeypatch):
     assert calls == {"an_check": 1, "star_paranormal_check": 1}
 
 
+@pytest.mark.parametrize("middle, route, max_products, summaries", [
+    ((), "InvertiblePath", 5, 3),
+    ((OperatorExpr((finite(1),), {}),), "KernelDimPath", 10, 6),
+])
+def test_certify_reuses_modulus_summaries(monkeypatch, middle, route,
+                                          max_products, summaries):
+    """certify_normal reads kernel dimensions and T*T - TT* off its own
+    summaries of T*T and TT* instead of rebuilding them."""
+    import sys
+    import anop.operators
+    import anop.spectral
+    calls = {"multiply": 0, "positive_spectral_summary": 0}
+
+    def counted(name, orig):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((anop.operators, "multiply"),
+                        (anop.spectral, "positive_spectral_summary")):
+        orig = getattr(owner, name)
+        wrapper = counted(name, orig)
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("anop") and vars(mod).get(name) is orig:
+                monkeypatch.setattr(mod, name, wrapper)
+    t = direct_sum(flip_unitary(), *middle, identity_operator((L2,)).scaled(2))
+    cert = certify_normal(t, samples=100)
+    assert cert.route == route and cert.normal
+    assert calls["multiply"] <= max_products
+    assert calls["positive_spectral_summary"] == summaries
+
+
 def test_certify_kernel_path():
     zero1 = OperatorExpr((finite(1),), {})
     t = direct_sum(zero1, flip_unitary().scaled(3),

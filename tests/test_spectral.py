@@ -15,8 +15,8 @@ from anop.operators import (L2, OperatorExpr, adjoint, identity_operator,
                             multiply, finite)
 from anop.ratfn import RationalFn
 from anop.scalars import Scalar
-from anop.spectral import (count_spectrum_in, essential_spectrum, kernel_dims,
-                           modulus_summary, positive_an_diagonalize,
+from anop.spectral import (Symbol, count_spectrum_in, essential_spectrum,
+                           kernel_dims, modulus_summary, positive_an_diagonalize,
                            positive_spectral_summary, summary_eigenspace,
                            symbol)
 from conftest import random_exact_operator
@@ -38,6 +38,34 @@ def test_symbol_of_jacobi_is_cosine():
     sym = symbol(j, 0)
     for th in (0.0, 0.5, 2.2):
         assert abs(sym.eval_theta(th) - 2 * math.cos(th)) < 1e-12
+
+
+def test_symbol_on_angle_array_matches_angle_loop():
+    # reference: one angle at a time with complex products, as range_real
+    # and the star-paranormal k-grid evaluated the symbol before
+    def one_angle(sym, th):
+        acc = 0j
+        for j, c in sym.coeffs.items():
+            acc += complex(c) * np.exp(1j * j * th)
+        return acc
+
+    syms = [symbol(multiply(jacobi_operator(), jacobi_operator().scaled(1.1)), 0),
+            symbol(multiply(adjoint(right_shift(3)), jacobi_operator()), 0),
+            Symbol({-2: Scalar.inexact(0.3, -1.7), 0: Scalar.exact(Fraction(5, 7)),
+                    3: Scalar.exact(Fraction(-2, 3), Fraction(1, 9))})]
+    thetas = np.linspace(0, 2 * np.pi, 512, endpoint=False)
+    for sym in syms:
+        got = sym.eval_theta(thetas)
+        want = np.array([one_angle(sym, th) for th in thetas])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert all(sym.eval_theta(th) == w for th, w in zip(thetas[::37], want[::37]))
+    s4, s2 = syms[0], syms[2]
+    v4, v2 = s4.eval_theta(thetas).real, s2.eval_theta(thetas).real
+    for k in np.geomspace(2e-6, 2.0, 8):
+        want = [one_angle(s4, th).real - 2 * k * one_angle(s2, th).real + k * k
+                for th in thetas]
+        assert np.array_equal((v4 - 2 * k * v2 + k * k).view(np.int64),
+                              np.array(want).view(np.int64))
 
 
 def test_symbol_of_shift_gram_is_constant():
