@@ -156,12 +156,11 @@ def cmd_check(args):
 def cmd_spectrum(args):
     cfg = _config(args)
     t = _load_operator(args.file)
-    from .operators import adjoint, multiply
-    from .spectral import modulus_summary, positive_spectral_summary
+    from .spectral import cogram, gram, modulus_summary, positive_spectral_summary
     if args.of == "T*T":
-        s = positive_spectral_summary(multiply(adjoint(t), t), cfg.tol, cfg.trunc)
+        s = positive_spectral_summary(gram(t), cfg.tol, cfg.trunc)
     elif args.of == "TT*":
-        s = positive_spectral_summary(multiply(t, adjoint(t)), cfg.tol, cfg.trunc)
+        s = positive_spectral_summary(cogram(t), cfg.tol, cfg.trunc)
     else:
         s = modulus_summary(t, cfg.tol, cfg.trunc)
     print(_report(s.to_json(), cfg))

@@ -20,12 +20,13 @@ from .operators import (L2, OperatorExpr, adjoint, apply, corner_sizes,
                         dense_window, finite, identity_like, multiply,
                         ops_equal_exact, truncate, window_layout, window_sizes)
 from .predicates import (NUMERICAL, PROVEN, REFUTED, PredicateVerdict,
-                         _jsonable, _normal_verdict, an_check,
-                         compute_M_and_Mstar, star_paranormal_check)
+                         _commutator, _jsonable, an_check, compute_M_and_Mstar,
+                         is_normal, star_paranormal_check)
 from .scalars import Scalar, scalar_sqrt
-from .spectral import (_exact_sqrt_opt, _kernel_dims, _window_norm_bound,
-                       adjoint_modulus_summary, modulus_summary,
-                       positive_spectral_summary, summary_eigenspace)
+from .spectral import (_exact_sqrt_opt, _window_norm_bound,
+                       adjoint_modulus_summary, cogram, gram, kernel_dims,
+                       memoised, modulus_summary, shares_derived,
+                       summary_eigenspace)
 from .subspaces import Subspace
 from .vectors import VectorExpr
 
@@ -294,32 +295,29 @@ def _restriction_matrix(t, space, lam):
     return mat, containment, ur
 
 
+def _require_hypotheses(t, tol, samples, seed, trunc):
+    """Raise NotAN or StarParanormalRefuted when a check refutes the
+    hypotheses of the peeled representation (once per operator in a memo)."""
+    def check():
+        av = an_check(t, tol, trunc)
+        if av.status == REFUTED:
+            raise NotAN(str(av.evidence.get("rule")))
+        sv = star_paranormal_check(t, tol, k_grid=16, samples=min(samples, 4000),
+                                   seed=seed, trunc=min(trunc, 160))
+        if sv.status == REFUTED:
+            raise StarParanormalRefuted("refutation witness found")
+    memoised(("hypotheses", tol, samples, seed, trunc), t, check)
+
+
+@shares_derived
 def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
     """Constructive decomposition of a star-paranormal absolutely norm
     attaining operator: descending scaled-unitary eigenspaces above the
     essential minimum, the isometric tail with its one-sided coupling, the
     finite complement block, and sub-tail unitary summands where they exist."""
     _require_hypotheses(t, tol, samples, seed, trunc)
-    s_q = positive_spectral_summary(multiply(adjoint(t), t), tol, trunc)
-    s_qq = positive_spectral_summary(multiply(t, adjoint(t)), tol, trunc)
-    return _peel(t, s_q, s_qq, tol, max_peel, samples, seed, trunc)
-
-
-def _require_hypotheses(t, tol, samples, seed, trunc):
-    """Raise NotAN or StarParanormalRefuted when a check refutes the
-    hypotheses of the peeled representation."""
-    av = an_check(t, tol, trunc)
-    if av.status == REFUTED:
-        raise NotAN(str(av.evidence.get("rule")))
-    sv = star_paranormal_check(t, tol, k_grid=16, samples=min(samples, 4000),
-                               seed=seed, trunc=min(trunc, 160))
-    if sv.status == REFUTED:
-        raise StarParanormalRefuted("refutation witness found")
-
-
-def _peel(t, s_q, s_qq, tol, max_peel, samples, seed, trunc):
-    """peel_decompose after its hypothesis checks, from the summaries s_q
-    of T*T and s_qq of TT*."""
+    s_q = modulus_summary(t, tol, trunc).base
+    s_qq = adjoint_modulus_summary(t, tol, trunc).base
     notes = []
     norm = math.sqrt(max(s_q.norm, 0.0))
     m_low = math.sqrt(max(s_q.m, 0.0))
@@ -621,8 +619,8 @@ def _structural_inverse(a):
         return _dense_to_op(a.spaces, labels,
                             [[Scalar.inexact(x.real, x.imag) for x in row]
                              for row in inv]), False
-    q = multiply(adjoint(a), a)
-    qq = multiply(a, adjoint(a))
+    q = gram(a)
+    qq = cogram(a)
     ident = identity_like(a)
     for alpha2 in _constant_candidates(q):
         scaled_id = ident.scaled(alpha2)
@@ -728,7 +726,7 @@ def coupling_vanishes(a, b_cols, c_rows, tol=1e-10, alpha=None):
     assembled = assemble_upper(a, b_cols, c_rows)
     mm, mm_star = _certified_invertible(assembled, tol)
     if alpha is None:
-        alpha = next(_constant_candidates(multiply(adjoint(a), a)))
+        alpha = next(_constant_candidates(gram(a)))
         alpha = scalar_sqrt(alpha) if alpha.is_real() else None
     if alpha is None or float(Scalar.of(alpha).re) <= 0:
         raise HypothesisFailed("the (1,1) block is not a positive multiple "
@@ -736,7 +734,7 @@ def coupling_vanishes(a, b_cols, c_rows, tol=1e-10, alpha=None):
     alpha = Scalar.of(alpha)
     s_op = a.scaled(Scalar.exact(1) / alpha if alpha.is_exact
                     else Scalar.inexact(1.0 / float(alpha.re)))
-    q = multiply(adjoint(s_op), s_op)
+    q = gram(s_op)
     ident = identity_like(a)
     if a.is_exact_scalars() and alpha.is_exact:
         if not ops_equal_exact(q, ident):
@@ -778,17 +776,17 @@ class NormalityCertificate:
                 "details": _jsonable(self.details)}
 
 
+@shares_derived
 def certify_normal(t, tol=1e-10, samples=2000, seed=42, trunc=256, max_peel=64):
     """Normality through invertibility, kernel dimensions, or the Weyl
     condition; refuses to certify when none of the routes apply."""
     _require_hypotheses(t, tol, samples, seed, trunc)
     msum = modulus_summary(t, tol, trunc)
     amsum = adjoint_modulus_summary(t, tol, trunc)
-    comm = msum.base.op - amsum.base.op
     details = {"m": msum.m, "m_adjoint": amsum.m, "m_e": msum.m_e,
                "norm": msum.norm}
     if min(msum.m, amsum.m) > tol:
-        cert = _peel(t, msum.base, amsum.base, tol, max_peel, samples, seed, trunc)
+        cert = peel_decompose(t, tol, max_peel, samples, seed, trunc)
         details["s_star_a_norm"] = cert.s_star_a_norm
         details["isometry_residual"] = cert.isometry_residual
         a_norm = max((c.norm_float() for c in cert.a_cols), default=0.0)
@@ -796,15 +794,15 @@ def certify_normal(t, tol=1e-10, samples=2000, seed=42, trunc=256, max_peel=64):
         if a_norm > tol:
             raise StructureViolation(
                 f"invertible input kept a nonzero tail coupling ({a_norm:.3g})")
-        return _conclude(comm, "InvertiblePath", details)
-    kd = _kernel_dims(t, msum.base, amsum.base, tol)
+        return _conclude(t, "InvertiblePath", details)
+    kd = kernel_dims(t, tol, trunc)
     details["kernel_dims"] = kd.to_json()
     dims_equal_finite = (isinstance(kd.dim_t, int) and kd.dim_t == kd.dim_t_star)
     details["m_e_adjoint"] = amsum.m_e
     weyl_ok = dims_equal_finite and msum.m_e > tol and amsum.m_e > tol
     details["zero_outside_weyl_spectrum"] = weyl_ok
     if not weyl_ok:
-        details["is_normal"] = _normal_verdict(comm).status
+        details["is_normal"] = is_normal(t).status
         return NormalityCertificate("NotApplicable", False, float("nan"), details)
     if kd.dim_t == 0:
         # trivial kernel with a positive essential minimum: the operator is
@@ -818,14 +816,14 @@ def certify_normal(t, tol=1e-10, samples=2000, seed=42, trunc=256, max_peel=64):
     details["restricted_route"] = sub.route
     if not sub.normal:
         return NormalityCertificate("KernelDimPath", False, float("nan"), details)
-    return _conclude(comm, "KernelDimPath", details)
+    return _conclude(t, "KernelDimPath", details)
 
 
-def _conclude(comm, route, details):
-    """The certificate of a route that applied, from comm = T*T - TT*."""
-    verdict = _normal_verdict(comm)
+def _conclude(t, route, details):
+    """The certificate of a route that applied."""
+    verdict = is_normal(t)
     details["is_normal"] = verdict.status
-    bound = _window_norm_bound(comm)
+    bound = _window_norm_bound(_commutator(t))
     if verdict.status == REFUTED:
         raise StructureViolation(
             "a normality route applied but T*T != TT*; the input fails the "

@@ -14,13 +14,14 @@ from .blocks import BandedBlock, DenseBlock, FiniteRankBlock
 from .diagonals import DiagonalSeq
 from .errors import BadParams
 from .operators import (L2, OperatorExpr, adjoint, apply, corner_sizes,
-                        dense_window, direct_sum, finite, multiply,
-                        ops_equal_exact, window_layout)
+                        dense_window, direct_sum, finite, ops_equal_exact,
+                        window_layout)
 from .predicates import (an_check, compute_M_and_Mstar, hyponormal_check,
                          paranormal_refute, _jsonable)
 from .ratfn import RationalFn
 from .scalars import Scalar
-from .spectral import essential_spectrum, kernel_dims, modulus_summary
+from .spectral import (cogram, essential_spectrum, gram, kernel_dims,
+                       modulus_summary, shares_derived)
 from .vectors import VectorExpr
 
 
@@ -321,14 +322,15 @@ def _support_corner(op):
     return sub, [labels[k] for k in keep]
 
 
+@shares_derived
 def audit(tol=1e-10, samples=2000, seed=42):
     """Recompute every checkable claim recorded about the worked examples."""
     from .decomposition import peel_decompose
     from .exactla import psd_decide
     records = []
     t1 = example1()
-    tts = multiply(adjoint(t1), t1)
-    ttstar = multiply(t1, adjoint(t1))
+    tts = gram(t1)
+    ttstar = cogram(t1)
 
     # (a) closed forms of T*T and TT* versus the recorded display formulas
     rng = random.Random(seed)
@@ -395,7 +397,7 @@ def audit(tol=1e-10, samples=2000, seed=42):
         {"corner_and_tail": hypo2.status, "refuter": refute2.status,
          "refuter_found_witness": refute2.status == "Refuted"},
         hypo2.status in ("Proven", "Numerical") and refute2.status != "Refuted"))
-    ess = essential_spectrum(multiply(t2, adjoint(t2)), tol)
+    ess = essential_spectrum(cogram(t2), tol)
     ess_vals = sorted(float(p[1].re) if isinstance(p[1], Scalar) else p[1]
                       for p in ess if p[0] == "point")
     records.append(AuditRecord(

@@ -19,8 +19,9 @@ from .exactla import psd_decide, quad_form
 from .operators import (adjoint, apply, apply_float, corner_sizes, dense_window,
                         multiply, op_is_zero, truncate, window_layout)
 from .scalars import Scalar, ZERO
-from .spectral import (count_spectrum_in, modulus_summary,
-                       positive_spectral_summary, summary_eigenspace, symbol)
+from .spectral import (adjoint_modulus_summary, cogram, count_spectrum_in, gram,
+                       memoised, modulus_summary, shares_derived,
+                       summary_eigenspace, symbol)
 from .subspaces import Subspace
 from .vectors import VectorExpr
 
@@ -65,7 +66,16 @@ def _jsonable(x):
 
 def _commutator(t):
     """T*T - TT* (positive exactly when T is hyponormal)."""
-    return multiply(adjoint(t), t) - multiply(t, adjoint(t))
+    return memoised("commutator", t, lambda: gram(t) - cogram(t))
+
+
+def _form_refutation(name, d, wit, rule, **kw):
+    """Refuted verdict whose witness has a nonzero quadratic form of d."""
+    gap = apply(d, wit).inner(wit)
+    return PredicateVerdict(name, REFUTED, witness=wit,
+                            evidence={"rule": rule,
+                                      "form_value": [str(gap.re), str(gap.im)]},
+                            **kw)
 
 
 def _tail_analysis(d, sizes):
@@ -149,15 +159,18 @@ def _norms2(t, x):
     return x.norm2(), tx.norm2(), tsx.norm2(), ttx.norm2()
 
 
+def _sample_region(t):
+    """(component, index) coordinates of the corner plus one band beyond."""
+    sizes = corner_sizes(t, pad=1)
+    return [(ci, k) for ci, sp in enumerate(t.spaces)
+            for k in range(sizes[ci] if sp.kind == "l2" else sp.dim)]
+
+
 def iter_sample_vectors(t, count, seed, support_cap=12):
     """Deterministic finitely supported rational sample vectors with support
     inside the corner plus one band beyond."""
     rng = random.Random(seed)
-    sizes = corner_sizes(t, pad=1)
-    regions = []
-    for ci, sp in enumerate(t.spaces):
-        top = sizes[ci] if sp.kind == "l2" else sp.dim
-        regions.extend((ci, k) for k in range(top))
+    regions = _sample_region(t)
     grid = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3) if n]
     for _ in range(count):
         nsup = rng.randint(1, min(support_cap, len(regions)))
@@ -173,24 +186,14 @@ def iter_sample_vectors(t, count, seed, support_cap=12):
 
 
 def basis_candidates(t):
-    sizes = corner_sizes(t, pad=1)
-    out = []
-    for ci, sp in enumerate(t.spaces):
-        top = sizes[ci] if sp.kind == "l2" else sp.dim
-        for k in range(top):
-            out.append(VectorExpr.basis(t.spaces, ci, k))
-    return out
+    return [VectorExpr.basis(t.spaces, ci, k) for ci, k in _sample_region(t)]
 
 
 # -- normality -----------------------------------------------------------------------
 
 def is_normal(t):
     """Proven or Refuted exactly on exact scalars; Numerical otherwise."""
-    return _normal_verdict(_commutator(t))
-
-
-def _normal_verdict(d):
-    """is_normal from the commutator d = T*T - TT*."""
+    d = _commutator(t)
     if op_is_zero(d):
         return PredicateVerdict("normal", PROVEN,
                                 evidence={"rule": "T*T - TT* is structurally zero"})
@@ -220,11 +223,8 @@ def _normal_verdict(d):
                 return PredicateVerdict("normal", NUMERICAL,
                                         evidence={"rule": "difference below resolution"})
             wit = VectorExpr.basis(d.spaces, pos[0], pos[1])
-        gap = apply(d, wit).inner(wit)
-        return PredicateVerdict(
-            "normal", REFUTED, witness=wit,
-            evidence={"rule": "witness quadratic form of T*T - TT* is nonzero",
-                      "form_value": [str(gap.re), str(gap.im)]})
+        return _form_refutation("normal", d, wit, "witness quadratic form of "
+                                "T*T - TT* is nonzero")
     mat = np.array([[complex(v) for v in row] for row in corner])
     nrm = float(np.linalg.norm(mat))
     if nrm <= 1e-10:
@@ -263,20 +263,13 @@ def hyponormal_check(t, tol=1e-10):
                           "corner_size": len(corner), "tail": tail},
                 tolerances={"tol": tol})
         wit = VectorExpr.from_flat(d.spaces, labels, wit_flat)
-        gap = apply(d, wit).inner(wit)
-        return PredicateVerdict(
-            "hyponormal", REFUTED, witness=wit,
-            evidence={"rule": "negative direction of T*T - TT*",
-                      "form_value": [str(gap.re), str(gap.im)]},
-            tolerances={"tol": tol})
+        return _form_refutation("hyponormal", d, wit,
+                                "negative direction of T*T - TT*",
+                                tolerances={"tol": tol})
     if exact and tail == "neg":
         wit = VectorExpr.basis(d.spaces, neg_pos[0], neg_pos[1])
-        gap = apply(d, wit).inner(wit)
-        return PredicateVerdict(
-            "hyponormal", REFUTED, witness=wit,
-            evidence={"rule": "negative ruled tail entry",
-                      "form_value": [str(gap.re), str(gap.im)]},
-            tolerances={"tol": tol})
+        return _form_refutation("hyponormal", d, wit, "negative ruled tail entry",
+                                tolerances={"tol": tol})
     mat = np.array([[complex(v) for v in row] for row in corner])
     w = np.linalg.eigvalsh(mat) if len(mat) else np.array([0.0])
     scale = max(1.0, float(np.max(np.abs(w))) if len(mat) else 1.0)
@@ -345,6 +338,7 @@ def paranormal_refute(t, samples=100000, seed=42):
                                       "checked": checked, "seed": seed})
 
 
+@shares_derived
 def star_paranormal_check(t, tol=1e-10, k_grid=64, samples=100000, seed=42,
                           trunc=256):
     """Three stages: structural proof via hyponormality, exact refutation by
@@ -364,9 +358,8 @@ def star_paranormal_check(t, tol=1e-10, k_grid=64, samples=100000, seed=42,
                                           "stage": 2, "checked": checked, "seed": seed},
                                 tolerances={"tol": tol})
     # stage 3: k-grid sections
-    t2 = multiply(t, t)
-    s4 = multiply(adjoint(t2), t2)
-    tts = multiply(t, adjoint(t))
+    s4 = gram(multiply(t, t))
+    tts = cogram(t)
     norm2 = modulus_summary(t, tol, trunc).norm ** 2
     if norm2 <= 0:
         return PredicateVerdict("star_paranormal", PROVEN,
@@ -378,11 +371,9 @@ def star_paranormal_check(t, tol=1e-10, k_grid=64, samples=100000, seed=42,
     eye = np.eye(len(sec4))
     ks = np.geomspace(2.0 * norm2 * 1e-6, 2.0 * norm2, int(k_grid))
     worst = None
-    sym4 = {i: symbol(s4, i) for i in s4.l2_components()}
-    sym2 = {i: symbol(tts, i) for i in tts.l2_components()}
     thetas = np.linspace(0, 2 * np.pi, 512, endpoint=False)
-    sym_vals = [(sym4[i].eval_theta(thetas).real, sym2[i].eval_theta(thetas).real)
-                for i in sym4]
+    sym_vals = [(symbol(s4, i).eval_theta(thetas).real,
+                 symbol(tts, i).eval_theta(thetas).real) for i in s4.l2_components()]
     min_symbol = float("inf")
     min_section = float("inf")
     for k in ks:
@@ -439,12 +430,10 @@ def _rationalize_witness(t, n_sec, flat):
 
 def norm_attaining_check(t, tol=1e-10, trunc=256):
     """Proven iff ||T||^2 is attained by an eigenspace of T*T."""
-    q = multiply(adjoint(t), t)
-    s = positive_spectral_summary(q, tol, trunc)
+    s = modulus_summary(t, tol, trunc).base
     norm2 = s.norm
     value = s.norm_exact if s.norm_exact is not None else norm2
-    space = summary_eigenspace(s, Scalar.exact(value) if isinstance(value, Fraction)
-                               else value, tol)
+    space = summary_eigenspace(s, value, tol)
     if not space.is_zero():
         return PredicateVerdict(
             "norm_attaining", PROVEN, subspace=space,
@@ -463,8 +452,7 @@ def norm_attaining_check(t, tol=1e-10, trunc=256):
 def an_check(t, tol=1e-10, trunc=256):
     """Singleton essential spectrum of T*T plus finitely many spectrum points
     below the essential minimum."""
-    q = multiply(adjoint(t), t)
-    s = positive_spectral_summary(q, tol, trunc)
+    s = modulus_summary(t, tol, trunc).base
     points = [p for p in s.ess if p[0] == "point"]
     intervals = [p for p in s.ess if p[0] == "interval"]
     evidence = {"ess": [_ess_json(p) for p in s.ess], "m2": s.m, "m_e2": s.m_e}
@@ -522,13 +510,9 @@ def compute_M_and_Mstar(t, tol=1e-10, trunc=256):
     if na.status != PROVEN:
         raise NotNormAttaining("operator does not attain its norm")
     m_space = na.subspace
-    q2 = multiply(t, adjoint(t))
-    s2 = positive_spectral_summary(q2, tol, trunc)
+    s2 = adjoint_modulus_summary(t, tol, trunc).base
     norm2 = s2.norm_exact if s2.norm_exact is not None else s2.norm
-    mstar_raw = summary_eigenspace(
-        s2, Scalar.exact(norm2) if isinstance(norm2, Fraction) else norm2, tol)
-    mstar = mstar_raw.intersect(m_space)
-    return m_space, mstar
+    return m_space, summary_eigenspace(s2, norm2, tol).intersect(m_space)
 
 
 # -- witness re-validation -----------------------------------------------------------------
@@ -549,12 +533,9 @@ def revalidate_witness(verdict, t):
         if exact:
             return nts.re > nt.re
         return float(nts.re) > float(nt.re) - 1e-10
-    if name == "paranormal":
+    if name in ("paranormal", "star_paranormal"):
+        lhs = nt if name == "paranormal" else nts
         if exact:
-            return nt.re * nt.re > ntt.re * n0.re
-        return float(nt.re) ** 2 > float(ntt.re) * float(n0.re) * (1 - 1e-9)
-    if name == "star_paranormal":
-        if exact:
-            return nts.re * nts.re > ntt.re * n0.re
-        return float(nts.re) ** 2 > float(ntt.re) * float(n0.re) * (1 - 1e-9)
+            return lhs.re * lhs.re > ntt.re * n0.re
+        return float(lhs.re) ** 2 > float(ntt.re) * float(n0.re) * (1 - 1e-9)
     return True

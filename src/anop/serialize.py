@@ -4,8 +4,9 @@ Top level is either {"spaces": [...], "blocks": [...]} or a builtin
 shorthand {"builtin": "identity"|"right_shift"|"diag", ...}. Complex
 literals are [re, im] where each part is a number or a rational string
 "p/q"; a bare number is accepted on input and read as a real. Exact
-values round-trip bit-exactly. Numbers must be finite, indices (offset,
-row, col, r, c) must be integers, and the space list must not be empty.
+values round-trip bit-exactly. Numbers must be finite and at most 2**200
+in magnitude, indices (offset, row, col, r, c) must be integers, and the
+space list must not be empty.
 """
 
 import json
@@ -19,6 +20,10 @@ from .operators import L2, OperatorExpr, finite
 from .ratfn import RationalFn
 from .scalars import Scalar
 
+# larger literals overflow the float tier, where ||T^2 x||^2 grows with the
+# fourth power of an entry
+_MAX_MAGNITUDE = 2 ** 200
+
 
 # -- scalar literals -----------------------------------------------------------
 
@@ -26,17 +31,21 @@ def _part_from_json(x, path):
     if isinstance(x, bool):
         raise SchemaError("boolean is not a number", path)
     if isinstance(x, int):
-        return Fraction(x), True
-    if isinstance(x, float):
+        v, exact = Fraction(x), True
+    elif isinstance(x, float):
         if not math.isfinite(x):
             raise SchemaError(f"non-finite number {x!r}", path)
-        return x, False
-    if isinstance(x, str):
+        v, exact = x, False
+    elif isinstance(x, str):
         try:
-            return Fraction(x), True
+            v, exact = Fraction(x), True
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational literal {x!r}: {exc}", path)
-    raise SchemaError(f"expected number or 'p/q' string, got {type(x).__name__}", path)
+    else:
+        raise SchemaError(f"expected number or 'p/q' string, got {type(x).__name__}", path)
+    if abs(v) > _MAX_MAGNITUDE:
+        raise SchemaError(f"number {x!r} is out of range", path)
+    return v, exact
 
 
 def scalar_from_json(obj, path="value"):
@@ -112,11 +121,7 @@ def _index(obj, key, path):
 
 
 def _finite_float(x, path):
-    v, _ = _part_from_json(x, path)
-    try:
-        return float(v)
-    except OverflowError:
-        raise SchemaError(f"number {x!r} is out of range", path)
+    return float(_part_from_json(x, path)[0])
 
 
 def _space_from_json(obj, path):

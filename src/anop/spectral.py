@@ -1,8 +1,15 @@
 """Spectral data for self-adjoint members of the representable class:
 Toeplitz symbols, essential spectra, positive-operator summaries with
 eigenspaces, modulus summaries, diagonalization, and kernel dimensions.
+
+T*T and TT* are built here only (`gram`, `cogram`). A call decorated with
+`shares_derived` opens a memo in which they, the modulus summaries (per tol
+and trunc) and other `memoised` objects are built once per operator; nested
+calls join the outermost memo, which is dropped when that call returns.
 """
 
+import contextvars
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -219,6 +226,44 @@ def ess_points(pieces):
     return out
 
 
+# -- derived objects -------------------------------------------------------------------
+
+_MEMO = contextvars.ContextVar("anop_derived", default=None)
+
+
+def shares_derived(fn):
+    """Run fn inside a memo of derived objects, joining one already open."""
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        memo = _MEMO.get()
+        token = _MEMO.set({} if memo is None else memo)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _MEMO.reset(token)
+    return scoped
+
+
+def memoised(key, t, build):
+    """build(), made once per (key, t) while a memo is open (t stays alive)."""
+    memo = _MEMO.get()
+    if memo is None:
+        return build()
+    if (key, id(t)) not in memo:
+        memo[key, id(t)] = (t, build())
+    return memo[key, id(t)][1]
+
+
+def gram(t):
+    """T*T."""
+    return memoised("gram", t, lambda: multiply(adjoint(t), t))
+
+
+def cogram(t):
+    """TT*."""
+    return memoised("cogram", t, lambda: multiply(t, adjoint(t)))
+
+
 # -- positive summaries -------------------------------------------------------------------
 
 @dataclass
@@ -308,10 +353,8 @@ class SpectralSummary:
         self.m = 0.0
         self.m_e = 0.0
         self.norm_exact = None
-        self.m_exact = None
         self.m_e_exact = None
         self._corner = None
-        self._corner_np = None
         self._corner_sizes = None
         self._corner_pairs = None
         self._exact_eigs = {}
@@ -381,9 +424,9 @@ def _structured_summary(s, classes, trunc):
     s._corner_sizes = sizes
     exact_corner = p.is_exact_scalars()
     s._corner = dense_window(p, sizes)
-    s._corner_np = np.array([[complex(v) for v in row] for row in s._corner])
-    n = len(s._corner_np)
-    pairs = sym_eigen(s._corner_np, max(tol, 1e-12)) if n else []
+    corner_np = np.array([[complex(v) for v in row] for row in s._corner])
+    n = len(corner_np)
+    pairs = sym_eigen(corner_np, max(tol, 1e-12)) if n else []
     s._corner_pairs = pairs
     scale = max((abs(w) for w, _ in pairs), default=0.0) or 1.0
     # essential points
@@ -501,7 +544,6 @@ def _structured_summary(s, classes, trunc):
     s.m_e = min(ess_points(s.ess), default=0.0)
     # exact labels when available
     s.norm_exact = _match_exact(s, s.norm)
-    s.m_exact = _match_exact(s, s.m)
     s.m_e_exact = _match_exact(s, s.m_e)
     all_pairs_exact = pairs and sum(len(k) for k in exact_values.values()) == len(pairs)
     s.tier = "exact" if (exact_corner and not s.streams and
@@ -574,19 +616,14 @@ def _symbolic_summary(s, classes, trunc):
 
 # -- eigenspaces ---------------------------------------------------------------------
 
-def _as_exact_value(value):
-    if isinstance(value, Scalar):
-        return Fraction(value.re) if value.is_exact else None
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return None
-
-
 def summary_eigenspace(s, value, tol=None):
     """N(p - value I) as a Subspace (exact wherever the data allows)."""
     tol = tol if tol is not None else s.tol
     p = s.op
-    exact_val = _as_exact_value(value)
+    if isinstance(value, Scalar):
+        exact_val = Fraction(value.re) if value.is_exact else None
+    else:
+        exact_val = Fraction(value) if isinstance(value, (int, Fraction)) else None
     vf = float(exact_val) if exact_val is not None else \
         (float(value.re) if isinstance(value, Scalar) else float(value))
     if s._path != "structured":
@@ -689,17 +726,7 @@ class ModulusSummary:
         self.norm = math.sqrt(max(base.norm, 0.0))
         self.m = math.sqrt(max(base.m, 0.0))
         self.m_e = math.sqrt(max(base.m_e, 0.0))
-        self.norm_exact = _exact_sqrt_opt(base.norm_exact)
-        self.m_exact = _exact_sqrt_opt(base.m_exact)
-        self.m_e_exact = _exact_sqrt_opt(base.m_e_exact)
         self.tier = base.tier
-
-    def eigenspace(self, value, tol=None):
-        ex = _as_exact_value(value)
-        if ex is not None:
-            return summary_eigenspace(self.base, ex * ex, tol)
-        vf = float(value.re) if isinstance(value, Scalar) else float(value)
-        return summary_eigenspace(self.base, vf * vf, tol)
 
     def to_json(self):
         return {"ess": _ess_to_json(self.ess),
@@ -719,15 +746,15 @@ def _exact_sqrt_opt(v):
 
 
 def modulus_summary(t, tol=1e-10, trunc=256):
-    """Summary of |T| = (T*T)^(1/2)."""
-    q = multiply(adjoint(t), t)
-    return ModulusSummary(positive_spectral_summary(q, tol, trunc))
+    """Summary of |T| = (T*T)^(1/2); its base summarises T*T."""
+    return memoised(("modulus", tol, trunc), t, lambda: ModulusSummary(
+        positive_spectral_summary(gram(t), tol, trunc)))
 
 
 def adjoint_modulus_summary(t, tol=1e-10, trunc=256):
-    """Summary of |T*| = (TT*)^(1/2)."""
-    q = multiply(t, adjoint(t))
-    return ModulusSummary(positive_spectral_summary(q, tol, trunc))
+    """Summary of |T*| = (TT*)^(1/2); its base summarises TT*."""
+    return memoised(("adjoint_modulus", tol, trunc), t, lambda: ModulusSummary(
+        positive_spectral_summary(cogram(t), tol, trunc)))
 
 
 # -- diagonalization of positive AN operators -----------------------------------------
@@ -839,16 +866,11 @@ def _kernel_dim_of_positive(s, tol):
     return d, s.op.is_exact_scalars()
 
 
-def _kernel_dims(t, s_q, s_qq, tol):
-    """kernel_dims from the summaries s_q of T*T and s_qq of TT*."""
+def kernel_dims(t, tol=1e-10, trunc=256):
+    """dim N(T) and dim N(T*) through the zero eigenspaces of T*T and TT*."""
+    s_q = modulus_summary(t, tol, trunc).base
+    s_qq = adjoint_modulus_summary(t, tol, trunc).base
     d1, e1 = _kernel_dim_of_positive(s_q, tol)
     d2, e2 = _kernel_dim_of_positive(s_qq, tol)
     exact = e1 and e2 and t.is_exact_scalars()
     return KernelDims(d1, d2, "exact" if exact else "numerical")
-
-
-def kernel_dims(t, tol=1e-10, trunc=256):
-    """dim N(T) and dim N(T*) through the zero eigenspaces of T*T and TT*."""
-    s_q = positive_spectral_summary(multiply(adjoint(t), t), tol, trunc)
-    s_qq = positive_spectral_summary(multiply(t, adjoint(t)), tol, trunc)
-    return _kernel_dims(t, s_q, s_qq, tol)

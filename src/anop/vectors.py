@@ -47,9 +47,6 @@ class VectorExpr:
                 data[ci][k] = Scalar.inexact(v.real, v.imag)
         return cls(shape, data)
 
-    def component(self, ci):
-        return self.data[ci]
-
     def items(self):
         for ci, d in enumerate(self.data):
             for k in sorted(d):

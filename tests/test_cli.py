@@ -132,6 +132,9 @@ def test_parse_error_exit_65(tmp_path):
     hostile = {
         "nan": ex1.replace('"value":[1,0]', '"value":[NaN,0]'),
         "overflow": ex1.replace('"limit":[2,0]', '"limit":[1e400,0]'),
+        # beyond the 2**200 bound: ||T^2 x||^2 would overflow the float tier
+        "huge_exact": ex1.replace('"limit":[2,0]', f'"limit":[{10 ** 200},0]'),
+        "huge_float": ex1.replace('"limit":[2,0]', '"limit":[1e100,0]'),
         "offset": ex1.replace('"offset":1,', '"offset":1.5,'),
         "empty": '{"blocks":[],"spaces":[]}',
     }
@@ -147,18 +150,21 @@ def test_parse_error_exit_65(tmp_path):
             assert code == 65 and out == "", (name, argv)
 
 
-@pytest.mark.parametrize("power, argv", [
-    (400, ["spectrum"]),
-    (400, ["decompose", "--samples", "50"]),
-    (400, ["check", "--predicate", "an"]),
-    (200, ["spectrum"]),
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["decompose", "--samples", "50"],
+    ["check", "--predicate", "an"],
 ])
-def test_crash_exits_70_not_refuted(tmp_path, capsys, power, argv):
-    # an exact limit whose square overflows a float crashes the float tier;
-    # the crash must exit 70 (internal error), never 1 (Refuted)
+def test_crash_exits_70_not_refuted(tmp_path, capsys, monkeypatch, argv):
+    # a crash of the float tier must exit 70 (internal error), never 1 (Refuted)
+    import anop.spectral
+
+    def broken(*args, **kwargs):
+        raise OverflowError("integer division result too large for a float")
+    monkeypatch.setattr(anop.spectral, "positive_spectral_summary", broken)
     _, ex1 = run_cli(["gallery", "example1"])
-    p = tmp_path / "huge.json"
-    p.write_text(ex1.replace('"limit":[2,0]', f'"limit":[{10 ** power},0]'))
+    p = tmp_path / "example1.json"
+    p.write_text(ex1)
     code, out = run_cli([argv[0], str(p)] + argv[1:])
     assert code == 70 and out == ""
     assert "internal error: OverflowError" in capsys.readouterr().err

@@ -3,6 +3,7 @@ finite-corner block inverse, and the normality certificates."""
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from anop.gallery import (example1, flip_unitary, nilpotent_pair,
                           right_shift, theorem_form)
 from anop.operators import (L2, OperatorExpr, adjoint, apply, direct_sum,
                             finite, identity_operator, multiply, ops_equal_exact)
-from anop.predicates import an_check, compute_M_and_Mstar
+from anop.predicates import an_check, compute_M_and_Mstar, star_paranormal_check
 from anop.scalars import Scalar
+from anop.serialize import load
+from anop.spectral import modulus_summary
 from anop.subspaces import Subspace
 from anop.vectors import VectorExpr
 
@@ -230,18 +233,17 @@ def test_certify_checks_hypotheses_once(monkeypatch):
     assert calls == {"an_check": 1, "star_paranormal_check": 1}
 
 
-@pytest.mark.parametrize("middle, route, max_products, summaries", [
-    ((), "InvertiblePath", 5, 3),
-    ((OperatorExpr((finite(1),), {}),), "KernelDimPath", 10, 6),
-])
-def test_certify_reuses_modulus_summaries(monkeypatch, middle, route,
-                                          max_products, summaries):
-    """certify_normal reads kernel dimensions and T*T - TT* off its own
-    summaries of T*T and TT* instead of rebuilding them."""
+def _count_layers(monkeypatch):
+    """Count calls of multiply, positive_spectral_summary and kernel_basis
+    through every anop binding of each."""
     import sys
+    import anop.exactla
     import anop.operators
     import anop.spectral
-    calls = {"multiply": 0, "positive_spectral_summary": 0}
+    targets = ((anop.operators, "multiply"),
+               (anop.spectral, "positive_spectral_summary"),
+               (anop.exactla, "kernel_basis"))
+    calls = {name: 0 for _, name in targets}
 
     def counted(name, orig):
         def wrapper(*args, **kwargs):
@@ -249,18 +251,67 @@ def test_certify_reuses_modulus_summaries(monkeypatch, middle, route,
             return orig(*args, **kwargs)
         return wrapper
 
-    for owner, name in ((anop.operators, "multiply"),
-                        (anop.spectral, "positive_spectral_summary")):
+    for owner, name in targets:
         orig = getattr(owner, name)
         wrapper = counted(name, orig)
         for key, mod in list(sys.modules.items()):
             if key.startswith("anop") and vars(mod).get(name) is orig:
                 monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+SEED5_SCALED = Path(__file__).parent / "golden" / "operators" / \
+    "theorem_form_seed5_scaled.json"
+
+
+@pytest.mark.parametrize("middle, route, max_products, summaries", [
+    ((), "InvertiblePath", 2, 2),
+    ((OperatorExpr((finite(1),), {}),), "KernelDimPath", 4, 4),
+])
+def test_certify_reuses_modulus_summaries(monkeypatch, middle, route,
+                                          max_products, summaries):
+    """certify_normal builds T*T, TT* and their summaries once per operator
+    (the KernelDimPath certifies a second, compressed operator)."""
+    calls = _count_layers(monkeypatch)
     t = direct_sum(flip_unitary(), *middle, identity_operator((L2,)).scaled(2))
     cert = certify_normal(t, samples=100)
     assert cert.route == route and cert.normal
     assert calls["multiply"] <= max_products
     assert calls["positive_spectral_summary"] == summaries
+
+
+def test_peel_builds_each_derived_object_once(monkeypatch):
+    calls = _count_layers(monkeypatch)
+    peel_decompose(example1(), samples=300)
+    assert calls["multiply"] <= 2 and calls["positive_spectral_summary"] == 2
+    assert calls["kernel_basis"] <= 7
+
+
+def test_peel_non_hyponormal_form_builds_each_derived_object_once(monkeypatch):
+    # stage 3 of the star-paranormal check needs |T| and TT* again, and
+    # (T^2)*T^2 besides: 4 products and 3 summaries (|T| at two truncations)
+    t = load(str(SEED5_SCALED))
+    calls = _count_layers(monkeypatch)
+    peel_decompose(t, samples=300)
+    assert calls["multiply"] <= 4 and calls["positive_spectral_summary"] == 3
+    for name in calls:
+        calls[name] = 0
+    assert star_paranormal_check(t, samples=300).status != "Refuted"
+    assert calls["multiply"] <= 4 and calls["positive_spectral_summary"] == 1
+
+
+def test_derived_memo_ends_with_the_call(monkeypatch):
+    calls = _count_layers(monkeypatch)
+    t = direct_sum(flip_unitary(), OperatorExpr((finite(1),), {}),
+                   identity_operator((L2,)).scaled(2))
+    certify_normal(t, samples=100)
+    first = calls["positive_spectral_summary"]
+    certify_normal(t, samples=100)
+    assert calls["positive_spectral_summary"] == 2 * first
+    calls["positive_spectral_summary"] = 0
+    modulus_summary(t)
+    modulus_summary(t)
+    assert calls["positive_spectral_summary"] == 2
 
 
 def test_certify_kernel_path():

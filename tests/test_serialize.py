@@ -95,10 +95,15 @@ def test_schema_errors_carry_paths():
                         ('{"offset": 0, "decay": {"C": 1, "p": 1e400}}', "decay.p"),
                         ('{"offset": 1.5}', "diagonals[0]"),
                         ('{"offset": true}', "diagonals[0]"),
-                        ('{"offset": "1"}', "diagonals[0]")]:
+                        ('{"offset": "1"}', "diagonals[0]"),
+                        ('{"offset": 0, "limit": %d}' % (2 ** 200 + 1), "limit"),
+                        ('{"offset": 0, "prefix": [[1, "-1e61"]]}', "prefix[0][1]"),
+                        ('{"offset": 0, "decay": {"C": 1e100, "p": 1}}', "decay.C")]:
         with pytest.raises(SchemaError) as exc:
             parse(banded % diag)
         assert where in str(exc.value)
+    assert "out of range" in str(exc.value)
+    parse(banded % ('{"offset": 0, "limit": [%d, "-1/%d"]}' % (2 ** 200, 2 ** 200)))
     for block, where in [('{"row": 0.5, "col": 0, "kind": "dense", "matrix": [[1]]}',
                           "blocks[0]"),
                          ('{"row": 0, "col": false, "kind": "dense", "matrix": [[1]]}',

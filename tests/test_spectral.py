@@ -275,3 +275,50 @@ def test_kernel_dims_out_of_class_rejected():
     from anop.errors import UncertifiedTail
     with pytest.raises(UncertifiedTail):
         kernel_dims(jacobi_operator())
+
+
+def _gram_products(source):
+    """(enclosing function, line) of every multiply(adjoint(x), x) or
+    multiply(x, adjoint(x)) in a module's source, also with x.adjoint()."""
+    import ast
+
+    def adjoint_of(node, x):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == "adjoint" and len(node.args) == 1:
+            return ast.dump(node.args[0]) == ast.dump(x)
+        return (isinstance(f, ast.Attribute) and f.attr == "adjoint"
+                and not node.args and ast.dump(f.value) == ast.dump(x))
+
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and len(node.args) == 2:
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            a, b = node.args
+            if name == "multiply" and (adjoint_of(a, b) or adjoint_of(b, a)):
+                found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_gram_products_built_only_in_spectral():
+    """T*T and TT* come from spectral.gram and spectral.cogram alone, so one
+    memo shares them within a call."""
+    from pathlib import Path
+    import anop
+    assert _gram_products("def f(t):\n    return multiply(t, t.adjoint())\n") \
+        == [("f", 2)]
+    offenders = []
+    for path in sorted(Path(anop.__file__).parent.glob("*.py")):
+        for owner, line in _gram_products(path.read_text()):
+            if not (path.name == "spectral.py" and owner in ("gram", "cogram")):
+                offenders.append(f"{path.name}:{line} in {owner}")
+    assert offenders == []
