@@ -150,21 +150,23 @@ def test_parse_error_exit_65(tmp_path):
             assert code == 65 and out == "", (name, argv)
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum"],
-    ["decompose", "--samples", "50"],
-    ["check", "--predicate", "an"],
+@pytest.mark.parametrize("power, argv", [
+    (400, ["spectrum"]),
+    (400, ["decompose", "--samples", "50"]),
+    (400, ["check", "--predicate", "an"]),
+    (200, ["spectrum"]),
 ])
-def test_crash_exits_70_not_refuted(tmp_path, capsys, monkeypatch, argv):
-    # a crash of the float tier must exit 70 (internal error), never 1 (Refuted)
-    import anop.spectral
-
-    def broken(*args, **kwargs):
-        raise OverflowError("integer division result too large for a float")
-    monkeypatch.setattr(anop.spectral, "positive_spectral_summary", broken)
+def test_crash_exits_70_not_refuted(tmp_path, capsys, monkeypatch, power, argv):
+    # an exact limit whose square overflows a float crashes the float tier;
+    # the crash must exit 70 (internal error), never 1 (Refuted). Such a
+    # limit is refused at parse time (test_parse_error_exit_65), so the
+    # range bound is lifted here to let it reach the float tier.
+    import importlib
+    serialize = importlib.import_module("anop.serialize")
+    monkeypatch.setattr(serialize, "_MAX_MAGNITUDE", 10 ** power)
     _, ex1 = run_cli(["gallery", "example1"])
-    p = tmp_path / "example1.json"
-    p.write_text(ex1)
+    p = tmp_path / "huge.json"
+    p.write_text(ex1.replace('"limit":[2,0]', f'"limit":[{10 ** power},0]'))
     code, out = run_cli([argv[0], str(p)] + argv[1:])
     assert code == 70 and out == ""
     assert "internal error: OverflowError" in capsys.readouterr().err
