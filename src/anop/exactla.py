@@ -3,11 +3,45 @@
 Matrices are lists of lists of exact Scalars. Used for corner kernels,
 eigenvalue verification, inverses and PSD decisions with witnesses; float
 work lives in the jacobi module instead.
+
+Kernels, ranks and inverses of exact matrices come from one elimination core
+that works on Python int pairs, the Gaussian integers Z[i], and never builds
+a Fraction until it reads its answer off:
+
+- Each row is scaled by the lcm of the denominators of its entries. Scaling
+  rows by nonzero constants leaves the reduced row echelon form unchanged,
+  and with it the kernel, the rank and the inverse (read off [A | I]).
+- Screen (kernels only). The integer rows are reduced mod p = 2**61 - 1.
+  Since p = 3 (mod 4), -1 is not a square mod p, so Z[i]/(p) is the field
+  F_{p^2} and elimination there computes a rank. Reduction mod p is a ring
+  map, so it sends every minor to the same minor mod p: a maximal minor that
+  is nonzero mod p is nonzero over Q(i). Full column rank mod p is therefore
+  a proof that the kernel is empty, and the kernel is returned empty without
+  exact work. When the screen finds a column without a pivot it proves
+  nothing (p may divide every maximal minor, as for [[p]]), and the exact
+  step decides. No denominator is ever inverted mod p, since the rows are
+  integral by then, so a denominator divisible by p needs no special case.
+- Exact step. Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
+  22, 1968; Nakos, Turner and Williams, SIGSAM Bull. 31, 1997) with the
+  pivot rule of the reference `_rref`: the first nonzero entry of the column.
+  Every entry stays, up to sign, a minor of the scaled matrix, so each
+  division by the previous pivot is exact in Z[i] (Sylvester's identity).
+  The reduced row echelon form is the result divided by the last pivot.
+
+The reduced row echelon form of a matrix is unique, so the basis and the
+inverse read off it are the same Fractions the reference `_rref` gives.
+A matrix with any inexact (float) entry, as `Subspace.complement` and
+`Subspace.intersect` may pass on float operators, goes through `_rref` on
+Scalars instead.
 """
 
+import math
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE
+
+# the screen's prime, 3 mod 4 so that Z[i]/(p) is a field
+_P = 2 ** 61 - 1
 
 
 def mat_copy(m):
@@ -75,21 +109,123 @@ def _rref(m, ncols):
     return piv_cols
 
 
+def _gaussian_rows(m):
+    """Each row of an exact matrix times the lcm of its denominators, as
+    (re, im) int pairs."""
+    out = []
+    for row in m:
+        den = math.lcm(*[s.re.denominator for s in row],
+                       *[s.im.denominator for s in row])
+        out.append([(s.re.numerator * (den // s.re.denominator),
+                     s.im.numerator * (den // s.im.denominator)) for s in row])
+    return out
+
+
+def _full_column_rank_mod_p(rows, ncols):
+    """True when the first ncols columns of the Gaussian-integer rows have
+    full column rank in F_{p^2}, which proves they have it over Q(i)."""
+    n = len(rows)
+    if n < ncols:
+        return False
+    m = [[(a % _P, b % _P) for a, b in row[:ncols]] for row in rows]
+    for c in range(ncols):
+        pr = next((i for i in range(c, n) if m[i][c] != (0, 0)), None)
+        if pr is None:
+            return False
+        m[c], m[pr] = m[pr], m[c]
+        pa, pb = m[c][c]
+        # 1/(pa + i pb) = (pa - i pb)/(pa^2 + pb^2); the norm is nonzero mod p
+        s = pow(pa * pa + pb * pb, -1, _P)
+        ia, ib = pa * s % _P, -pb * s % _P
+        ptail = [((xa * ia - xb * ib) % _P, (xa * ib + xb * ia) % _P)
+                 for xa, xb in m[c][c + 1:]]
+        for i in range(c + 1, n):
+            fa, fb = m[i][c]
+            if fa or fb:
+                m[i][c + 1:] = [((xa - fa * ya + fb * yb) % _P, (xb - fa * yb - fb * ya) % _P)
+                                for (xa, xb), (ya, yb) in zip(m[i][c + 1:], ptail)]
+    return True
+
+
+def _exact_quotients(pairs, qa, qb):
+    """The Gaussian integers in pairs divided by qa + i qb, each division
+    known to be exact."""
+    if qb:
+        nq = qa * qa + qb * qb
+        return [((a * qa + b * qb) // nq, (b * qa - a * qb) // nq) for a, b in pairs]
+    if qa != 1:
+        return [(a // qa, b // qa) for a, b in pairs]
+    return pairs
+
+
+def _fraction_free_gauss_jordan(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of Gaussian-integer rows in
+    place, pivots sought in the first ncols columns. Returns the pivot columns
+    and the last pivot: row r divided by that pivot is row r of the reduced
+    row echelon form."""
+    n = len(rows)
+    piv_cols = []
+    qa, qb = 1, 0
+    for c in range(ncols):
+        r = len(piv_cols)
+        pr = next((i for i in range(r, n) if rows[i][c] != (0, 0)), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        pa, pb = prow[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                fa, fb = row[c]
+                rows[i] = _exact_quotients(
+                    [(pa * xa - pb * xb - fa * ya + fb * yb,
+                      pa * xb + pb * xa - fa * yb - fb * ya)
+                     for (xa, xb), (ya, yb) in zip(row, prow)], qa, qb)
+        qa, qb = pa, pb
+        piv_cols.append(c)
+        if len(piv_cols) == n:
+            break
+    return piv_cols, (qa, qb)
+
+
+def _row_reduce(m, ncols, screen=False):
+    """Reduced row echelon form R of m, pivots sought in its first ncols
+    columns, as (pivot columns, entry) with entry(r, c) the Scalar R[r][c].
+    With screen, None when m is exact and has full column rank mod p."""
+    if not all(v.is_exact for row in m for v in row):
+        work = mat_copy(m)
+        piv = _rref(work, ncols)
+        return piv, lambda r, c: work[r][c]
+    rows = _gaussian_rows(m)
+    if screen and _full_column_rank_mod_p(rows, ncols):
+        return None
+    piv, (qa, qb) = _fraction_free_gauss_jordan(rows, ncols)
+    nq = qa * qa + qb * qb
+
+    def entry(r, c):
+        a, b = rows[r][c]
+        return Scalar(Fraction(a * qa + b * qb, nq), Fraction(b * qa - a * qb, nq), True)
+    return piv, entry
+
+
 def kernel_basis(m, ncols=None):
-    """Exact basis of the nullspace (list of Scalar coordinate lists)."""
+    """Exact basis of the nullspace (list of Scalar coordinate lists); with
+    no rows, the unit basis of ncols columns."""
     if not m:
-        return []
+        return [_unit(ncols, k) for k in range(ncols or 0)]
     ncols = ncols if ncols is not None else len(m[0])
-    work = mat_copy(m)
-    piv = _rref(work, ncols)
+    reduced = _row_reduce(m, ncols, screen=True)
+    if reduced is None:
+        return []
+    piv, entry = reduced
     piv_set = set(piv)
-    free = [c for c in range(ncols) if c not in piv_set]
     basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
+    for fc in range(ncols):
+        if fc in piv_set:
+            continue
+        v = _unit(ncols, fc)
         for r, pc in enumerate(piv):
-            v[pc] = -work[r][fc]
+            v[pc] = -entry(r, fc)
         basis.append(v)
     return basis
 
@@ -97,18 +233,15 @@ def kernel_basis(m, ncols=None):
 def rank(m, ncols=None):
     if not m:
         return 0
-    ncols = ncols if ncols is not None else len(m[0])
-    work = mat_copy(m)
-    return len(_rref(work, ncols))
+    return len(_row_reduce(m, ncols if ncols is not None else len(m[0]))[0])
 
 
 def inverse(a):
     n = len(a)
-    aug = [a[i][:] + mat_identity(n)[i] for i in range(n)]
-    piv = _rref(aug, n)
+    piv, entry = _row_reduce([row + unit for row, unit in zip(a, mat_identity(n))], n)
     if len(piv) < n:
         return None
-    return [row[n:] for row in aug]
+    return [[entry(r, c) for c in range(n, 2 * n)] for r in range(n)]
 
 
 def psd_decide(m):

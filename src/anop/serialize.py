@@ -4,9 +4,10 @@ Top level is either {"spaces": [...], "blocks": [...]} or a builtin
 shorthand {"builtin": "identity"|"right_shift"|"diag", ...}. Complex
 literals are [re, im] where each part is a number or a rational string
 "p/q"; a bare number is accepted on input and read as a real. Exact
-values round-trip bit-exactly. Numbers must be finite and at most 2**200
-in magnitude, indices (offset, row, col, r, c) must be integers, and the
-space list must not be empty.
+values round-trip bit-exactly. Numbers, the coefficients of entry rules
+among them, must be finite and at most 2**200 in magnitude, indices
+(offset, row, col, r, c) must be integers, and the space list must not be
+empty.
 """
 
 import json
@@ -137,6 +138,23 @@ def _space_from_json(obj, path):
     raise SchemaError(f"unknown space kind {obj['kind']!r}", path)
 
 
+def _rule_from_json(obj, path):
+    """An entry rule; each of its numbers passes the literal checks first."""
+    if not isinstance(obj, dict):
+        raise SchemaError("entry rule must be an object", path)
+    for key in ("scale", "shift", "limit"):
+        if obj.get(key) is not None:
+            _part_from_json(obj[key], f"{path}.{key}")
+    for key in ("num", "den"):
+        if isinstance(obj.get(key), list):
+            for k, c in enumerate(obj[key]):
+                _part_from_json(c, f"{path}.{key}[{k}]")
+    try:
+        return RationalFn.from_json(obj)
+    except Exception as exc:
+        raise SchemaError(f"bad entry rule: {exc}", path)
+
+
 def _diag_from_json(obj, path):
     if "offset" not in obj:
         raise SchemaError("diagonal needs an 'offset'", path)
@@ -144,12 +162,7 @@ def _diag_from_json(obj, path):
               for k, v in enumerate(obj.get("prefix", []))]
     limit = scalar_from_json(obj["limit"], path + ".limit") if "limit" in obj \
         else Scalar.exact(0)
-    rule = None
-    if "rule" in obj:
-        try:
-            rule = RationalFn.from_json(obj["rule"])
-        except Exception as exc:
-            raise SchemaError(f"bad entry rule: {exc}", path + ".rule")
+    rule = _rule_from_json(obj["rule"], path + ".rule") if "rule" in obj else None
     decay = None
     if "decay" in obj:
         d = obj["decay"]
@@ -176,7 +189,7 @@ def _builtin(obj, path="builtin"):
             if "limit" in obj else Scalar.exact(0)
         rule = None
         if "rule" in obj:
-            rule = RationalFn.from_json(obj["rule"])
+            rule = _rule_from_json(obj["rule"], path + ".rule")
             if scale.is_exact and scale.is_real():
                 rule = rule.scale(Fraction(scale.re))
             else:

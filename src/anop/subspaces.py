@@ -185,11 +185,7 @@ class Subspace:
             coords.extend((ci, k) for k in range(top))
         # complement basis inside the finite region: kernel of <e, b_j> rows
         rows = [[b.get(ci, k).conj() for (ci, k) in coords] for b in self.vectors]
-        if rows:
-            ker = kernel_basis(rows, len(coords))
-        else:
-            ker = [[Scalar.exact(1 if t == s else 0) for t in range(len(coords))]
-                   for s in range(len(coords))]
+        ker = kernel_basis(rows, len(coords))
         extras = []
         for kv in ker:
             data = [dict() for _ in self.shape]
@@ -241,9 +237,7 @@ class Subspace:
         rows = [[r.get(ci, k) for (ci, k) in support] for _, r in kept]
         cols = list(zip(*rows)) if rows else []
         mat = [list(col) for col in cols]  # residual coords x generators
-        coeffs = kernel_basis(mat, len(gens)) if mat else \
-            [[Scalar.exact(1 if t == s else 0) for t in range(len(gens))]
-             for s in range(len(gens))]
+        coeffs = kernel_basis(mat, len(gens))
         vecs = []
         for cv in coeffs:
             acc = VectorExpr(self.shape)

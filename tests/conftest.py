@@ -3,10 +3,18 @@
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from anop.blocks import BandedBlock, DenseBlock, FiniteRankBlock
 from anop.diagonals import DiagonalSeq
 from anop.operators import L2, OperatorExpr, finite
 from anop.scalars import Scalar
+
+# property tests draw the same examples on every run, keep no example
+# database and stay small, so the suite is deterministic and cheap
+settings.register_profile("anop", derandomize=True, database=None, deadline=None,
+                          max_examples=30)
+settings.load_profile("anop")
 
 
 def rand_scalar(rng, complex_ok=True):

@@ -129,6 +129,7 @@ def test_parse_error_exit_65(tmp_path):
     code, _ = run_cli(["check", str(p), "--predicate", "normal"])
     assert code == 65
     _, ex1 = run_cli(["gallery", "example1"])
+    _, ex2 = run_cli(["gallery", "example2"])
     hostile = {
         "nan": ex1.replace('"value":[1,0]', '"value":[NaN,0]'),
         "overflow": ex1.replace('"limit":[2,0]', '"limit":[1e400,0]'),
@@ -137,13 +138,16 @@ def test_parse_error_exit_65(tmp_path):
         "huge_float": ex1.replace('"limit":[2,0]', '"limit":[1e100,0]'),
         "offset": ex1.replace('"offset":1,', '"offset":1.5,'),
         "empty": '{"blocks":[],"spaces":[]}',
+        # a rule coefficient is a number like any other
+        "rule_num": ex2.replace('"num":[1]', f'"num":[{10 ** 200}]'),
     }
     for name, text in hostile.items():
-        assert text != ex1
+        assert text not in (ex1, ex2)
         p = tmp_path / f"{name}.json"
         p.write_text(text)
         for argv in (["check", str(p), "--predicate", "hyponormal"],
                      ["check", str(p), "--predicate", "paranormal"],
+                     ["check", str(p), "--predicate", "an"],
                      ["spectrum", str(p)], ["decompose", str(p)],
                      ["certify", str(p)]):
             code, out = run_cli(argv + ["--samples", "50"])

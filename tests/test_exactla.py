@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, strategies as st
 
-from anop.exactla import (inverse, kernel_basis, mat_mul, mat_vec, psd_decide,
+from anop.exactla import (_full_column_rank_mod_p, _gaussian_rows, _rref, inverse,
+                          kernel_basis, mat_copy, mat_mul, mat_vec, psd_decide,
                           quad_form, rank, verify_eigenvalue)
 from anop.scalars import Scalar
 from conftest import rand_scalar
+
+P = 2 ** 61 - 1
 
 
 def _rand_hermitian(rng, n, shift=0):
@@ -98,3 +102,108 @@ def test_verify_eigenvalue_is_exact():
     assert verify_eigenvalue(m, Fraction(3))
     assert verify_eigenvalue(m, Fraction(1))
     assert not verify_eigenvalue(m, Fraction(2))
+
+
+def test_kernel_of_no_rows_is_the_unit_basis():
+    assert kernel_basis([], 3) == [[Scalar.exact(int(i == j)) for j in range(3)]
+                                   for i in range(3)]
+    assert kernel_basis([], 0) == [] and kernel_basis([]) == []
+
+
+# -- the Gaussian-integer core against the Fraction reference `_rref` ------------------
+
+def _reference_rref(m, ncols):
+    work = mat_copy(m)
+    return _rref(work, ncols), work
+
+
+def _reference_kernel(m):
+    ncols = len(m[0])
+    piv, work = _reference_rref(m, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc not in piv:
+            v = [Scalar.exact(int(k == fc)) for k in range(ncols)]
+            for r, pc in enumerate(piv):
+                v[pc] = -work[r][fc]
+            basis.append(v)
+    return basis
+
+
+def _reference_inverse(a):
+    n = len(a)
+    piv, work = _reference_rref(
+        [row + [Scalar.exact(int(i == j)) for j in range(n)] for i, row in enumerate(a)], n)
+    return None if len(piv) < n else [row[n:] for row in work]
+
+
+def _identical(x):
+    """Values, exactness and part types, so that a float or int part where
+    the reference has a Fraction shows."""
+    if x is None:
+        return None
+    return [[(s.re, s.im, s.is_exact, type(s.re), type(s.im)) for s in row] for row in x]
+
+
+def _assert_matches_reference(m):
+    assert _identical(kernel_basis(m)) == _identical(_reference_kernel(m))
+    assert rank(m) == len(_reference_rref(m, len(m[0]))[0])
+    if len(m) == len(m[0]):
+        assert _identical(inverse(m)) == _identical(_reference_inverse(m))
+
+
+_PART = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+_GAUSSIAN_RATIONAL = st.builds(Scalar.exact, _PART, st.one_of(st.just(0), _PART))
+
+
+def _matrices(n, k):
+    return st.lists(st.lists(_GAUSSIAN_RATIONAL, min_size=k, max_size=k),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def _matrix_of_rank(draw):
+    """A rows x cols product of random rows x r and r x cols factors, r drawn
+    from 0 to min(rows, cols)."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(rows, cols)))
+    if r == 0:
+        return [[Scalar.exact(0)] * cols for _ in range(rows)]
+    return mat_mul(draw(_matrices(rows, r)), draw(_matrices(r, cols)))
+
+
+@given(_matrix_of_rank())
+def test_core_matches_fraction_reference(m):
+    _assert_matches_reference(m)
+
+
+def test_screen_is_silent_when_p_divides_every_maximal_minor():
+    # singular mod p, invertible over Q: the screen cannot answer, the exact step does
+    for m in ([[Scalar.exact(P)]],
+              [[Scalar.exact(0, P)]],
+              [[Scalar.exact(1), Scalar.exact(1)], [Scalar.exact(1), Scalar.exact(1 + P)]]):
+        assert not _full_column_rank_mod_p(_gaussian_rows(m), len(m[0]))
+        assert kernel_basis(m) == [] and rank(m) == len(m)
+        _assert_matches_reference(m)
+    assert inverse([[Scalar.exact(P)]]) == [[Scalar.exact(Fraction(1, P))]]
+
+
+def test_denominator_divisible_by_p():
+    # rows are scaled to Gaussian integers before the reduction mod p, so no
+    # denominator is inverted mod p and the screen still decides soundly
+    full = [[Scalar.exact(Fraction(1, P)), Scalar.exact(1)],
+            [Scalar.exact(Fraction(2, P)), Scalar.exact(Fraction(3, P), Fraction(1, 2 * P))]]
+    assert _full_column_rank_mod_p(_gaussian_rows(full), 2)
+    deficient = [[Scalar.exact(Fraction(1, P)), Scalar.exact(2)],
+                 [Scalar.exact(Fraction(2, P)), Scalar.exact(4)]]
+    assert len(kernel_basis(deficient)) == 1
+    for m in (full, deficient):
+        _assert_matches_reference(m)
+
+
+@given(_matrix_of_rank(), st.booleans())
+def test_float_matrices_keep_the_scalar_path(m, mixed):
+    # any inexact entry sends the matrix through `_rref` on Scalars, as before
+    m = [[Scalar.inexact(float(v.re), float(v.im)) if not mixed or (i + j) % 2 else v
+          for j, v in enumerate(row)] for i, row in enumerate(m)]
+    _assert_matches_reference(m)

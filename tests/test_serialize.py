@@ -98,6 +98,16 @@ def test_schema_errors_carry_paths():
                         ('{"offset": "1"}', "diagonals[0]"),
                         ('{"offset": 0, "limit": %d}' % (2 ** 200 + 1), "limit"),
                         ('{"offset": 0, "prefix": [[1, "-1e61"]]}', "prefix[0][1]"),
+                        ('{"offset": 1, "rule": {"kind": "ratfn", "num": [%d], '
+                         '"den": [1, 1]}}' % 10 ** 200, "rule.num[0]"),
+                        ('{"offset": 1, "rule": {"kind": "ratfn", "num": [1], '
+                         '"den": [1, NaN]}}', "rule.den[1]"),
+                        ('{"offset": 1, "rule": {"kind": "power", "scale": 1e400}}',
+                         "rule.scale"),
+                        ('{"offset": 1, "rule": {"kind": "power", "scale": 1, '
+                         '"shift": "1e61"}}', "rule.shift"),
+                        ('{"offset": 1, "rule": {"kind": "power", "scale": 1, '
+                         '"limit": -1e100}}', "rule.limit"),
                         ('{"offset": 0, "decay": {"C": 1e100, "p": 1}}', "decay.C")]:
         with pytest.raises(SchemaError) as exc:
             parse(banded % diag)
