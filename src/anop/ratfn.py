@@ -160,15 +160,23 @@ class RationalFn:
         return poly_eval(self.num, i) / poly_eval(self.den, i)
 
     def __add__(self, other):
-        return RationalFn(poly_add(poly_mul(self.num, other.den),
-                                   poly_mul(other.num, self.den)),
-                          poly_mul(self.den, other.den),
-                          max(self.valid_from, other.valid_from))
+        return self._over_product_den(poly_add(poly_mul(self.num, other.den),
+                                               poly_mul(other.num, self.den)), other)
 
     def __mul__(self, other):
-        return RationalFn(poly_mul(self.num, other.num),
-                          poly_mul(self.den, other.den),
-                          max(self.valid_from, other.valid_from))
+        return self._over_product_den(poly_mul(self.num, other.num), other)
+
+    def _over_product_den(self, num, other):
+        """num / (self.den * other.den) without the validity scan of
+        __init__: each denominator is positive from its own valid_from, so
+        their product is positive from the larger one and the scan could not
+        move it. Leading coefficients stay positive and deg num stays within
+        deg den, so the other checks of __init__ hold as well."""
+        out = object.__new__(RationalFn)
+        out.num = num
+        out.den = poly_mul(self.den, other.den)
+        out.valid_from = max(self.valid_from, other.valid_from)
+        return out
 
     def scale(self, c):
         return RationalFn(poly_scale(self.num, c), self.den, self.valid_from)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import sys
+import threading
 from contextlib import redirect_stdout
 
 import pytest
@@ -174,6 +175,25 @@ def test_crash_exits_70_not_refuted(tmp_path, capsys, monkeypatch, power, argv):
     code, out = run_cli([argv[0], str(p)] + argv[1:])
     assert code == 70 and out == ""
     assert "internal error: OverflowError" in capsys.readouterr().err
+
+
+def test_high_power_rule_finishes(tmp_path):
+    # sums and products of rules used to rescan every index below the root
+    # bound of their product denominator, which for a power-5 rule ran past
+    # 30 s; a daemon thread keeps a hang from stalling the suite
+    _, ex2 = run_cli(["gallery", "example2"])
+    p = tmp_path / "power5.json"
+    p.write_text(ex2.replace('"rule":{"den":[1,1],"kind":"ratfn","num":[1]}',
+                             '"rule":{"kind":"power","power":5,"scale":1,"shift":1}'))
+    assert '"power":5' in p.read_text()
+    codes = []
+    worker = threading.Thread(
+        target=lambda: codes.append(run_cli(["check", str(p), "--predicate", "an"])[0]),
+        daemon=True)
+    worker.start()
+    worker.join(20)
+    assert not worker.is_alive(), "check --predicate an still running after 20 s"
+    assert codes == [1]
 
 
 def test_linalg_error_exits_70(shift_file, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from anop.errors import BadParams
 from anop.ratfn import RationalFn
@@ -101,3 +102,21 @@ def test_json_round_trip():
     f = RationalFn.const(Fraction(1, 3)) + RationalFn.power_term(-2, 2, 2)
     g = RationalFn.from_json(f.to_json())
     assert f == g
+
+
+@st.composite
+def _rules(draw):
+    """Rules whose denominator may vanish or turn negative at small indices,
+    so that valid_from is often above zero."""
+    den = draw(st.lists(st.integers(-6, 6), min_size=0, max_size=2))
+    den.append(draw(st.integers(1, 3)))
+    num = draw(st.lists(st.integers(-3, 3), max_size=len(den)))
+    return RationalFn(num, den).shift_index(draw(st.integers(-4, 0)))
+
+
+@given(_rules(), _rules())
+def test_sum_and_product_keep_the_scanned_validity(f, g):
+    for out in (f + g, f * g):
+        scanned = RationalFn(out.num, out.den, max(f.valid_from, g.valid_from))
+        assert (out.num, out.den, out.valid_from) == \
+            (scanned.num, scanned.den, scanned.valid_from)
