@@ -106,11 +106,11 @@ def _tail_analysis(d, sizes):
                 return "numeric", None
             if seq.rule is not None:
                 start = max(len(seq.prefix), sizes[i])
-                sgn = seq.rule.sign_from(start)
-                if sgn is not None and sgn >= 0:
+                runs = seq.rule.runs_from(start)
+                if len(runs) == 1 and runs[0][1] >= 0:
                     status = "psd" if status == "zero" else status
                     continue
-                k = _first_negative(seq.rule, start)
+                k = next((a for a, sgn in runs if sgn < 0), None)
                 if k is not None:
                     return "neg", (i, k)
                 return "numeric", None
@@ -127,15 +127,6 @@ def _tail_analysis(d, sizes):
             else:
                 return "numeric", None
     return status, None
-
-
-def _first_negative(fn, start):
-    from .ratfn import _root_bound
-    bound = max(start + 2, int(_root_bound(fn.num)) + 2 if fn.num else start + 2)
-    for k in range(start, bound + 1):
-        if fn.eval(k) < 0:
-            return k
-    return None
 
 
 def _corner_witness_search(d, corner, labels):

@@ -5,7 +5,11 @@ rational function r(i) = num(i)/den(i) with rational coefficients whose
 denominator is positive for every i >= 0 and deg num <= deg den (bounded
 entries). Everything about such a rule is decidable exactly: its limit,
 a decay certificate, its zero set, its sign and its monotonicity from any
-starting index. Polynomials are coefficient tuples, low degree first.
+starting index. Validity, zeros, sign, monotonicity, extremes, decay and the
+counts of spectral streams all come from one primitive, `sign_runs`, at
+O(deg^2 log B) polynomial evaluations for a Cauchy root bound B, instead of
+one evaluation per integer up to B. Polynomials are coefficient tuples, low
+degree first.
 """
 
 from fractions import Fraction
@@ -74,13 +78,60 @@ def _root_bound(a):
     return 1 + max((abs(c) for c in a[:-1]), default=Fraction(0)) / lead
 
 
-def poly_integer_zeros_from(a, i0):
-    """Integer roots >= i0; None means the polynomial is identically zero."""
-    if not a:
-        return None
-    bound = _root_bound(a)
-    hi = int(bound) + 1
-    return [i for i in range(i0, hi + 1) if poly_eval(a, i) == 0]
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _step(num, den=(Fraction(1),)):
+    """Numerator of the forward difference of num/den:
+    num(i+1) den(i) - num(i) den(i+1)."""
+    return poly_add(poly_mul(poly_compose_shift(num, 1), den),
+                    poly_scale(poly_mul(num, poly_compose_shift(den, 1)), -1))
+
+
+def sign_runs(p, lo):
+    """Maximal runs [(start, sign), ...] of one sign of p(i) over the integers
+    i >= lo; the last run never ends.
+
+    When the coefficients of p(lo + x) show no sign change, Descartes' rule
+    leaves no root above lo. Otherwise p is monotone on each run of its
+    forward difference, so bisection finds each sign change there; beyond the
+    Cauchy bound p keeps the sign of its leading coefficient.
+    """
+    if not p:
+        return [(lo, 0)]
+    lead = _sign(p[-1])
+    q = poly_compose_shift(p, lo) if lo else p
+    if all(_sign(c) != -lead for c in q):
+        return [(lo, lead)] if q[0] else [(lo, 0), (lo + 1, lead)]
+    ends = [a for a, _ in sign_runs(_step(p), lo)]
+    ends.append(max(ends[-1], int(_root_bound(p)) + 1))
+    runs = []
+    for a, b in zip(ends, ends[1:]):
+        # the sign of p is monotone on [a, b]
+        sb = _sign(poly_eval(p, b))
+        while True:
+            sa = _sign(poly_eval(p, a))
+            if not runs or runs[-1][1] != sa:
+                runs.append((a, sa))
+            if sa == sb:
+                break
+            hi = b
+            while hi - a > 1:
+                mid = (a + hi) // 2
+                a, hi = (mid, hi) if _sign(poly_eval(p, mid)) == sa else (a, mid)
+            a = hi
+    return runs
+
+
+def _extremes(num, den, lo):
+    """Exact (inf, sup) of num(i)/den(i) over i >= lo, with den positive there
+    and deg num <= deg den. The ratio is monotone from each run start of its
+    forward difference to the next, so those values and the limit suffice."""
+    starts = [a for a, _ in sign_runs(_step(num, den), lo)]
+    vals = [poly_eval(num, a) / poly_eval(den, a) for a in starts]
+    vals.append(num[-1] / den[-1] if len(num) == len(den) else Fraction(0))
+    return min(vals), max(vals)
 
 
 def _power_of_linear(deg):
@@ -89,23 +140,6 @@ def _power_of_linear(deg):
     for _ in range(deg):
         out = poly_mul(out, poly([1, 1]))
     return out
-
-
-def poly_sign_from(a, i0):
-    """+1 / -1 / 0 when p(i) has that sign for every integer i >= i0,
-    otherwise None."""
-    if not a:
-        return 0
-    bound = int(_root_bound(a)) + 1
-    lead_sign = 1 if a[-1] > 0 else -1
-    signs = set()
-    for i in range(i0, bound + 2):
-        v = poly_eval(a, i)
-        signs.add(0 if v == 0 else (1 if v > 0 else -1))
-    signs.add(lead_sign)
-    if len(signs) == 1:
-        return signs.pop()
-    return None
 
 
 # -- rational functions -----------------------------------------------------
@@ -121,19 +155,13 @@ class RationalFn:
         den = poly(den)
         if not den:
             raise BadParams("zero denominator")
-        valid_from = int(valid_from)
         if den[-1] <= 0:
             raise BadParams("rule denominator is not eventually positive")
-        bound = int(_root_bound(den)) + 1
-        for i in range(max(bound, valid_from), valid_from - 1, -1):
-            if poly_eval(den, i) <= 0:
-                valid_from = i + 1
-                break
         if poly_deg(num) > poly_deg(den):
             raise BadParams("rule must stay bounded (deg num <= deg den)")
         self.num = num
         self.den = den
-        self.valid_from = valid_from
+        self.valid_from = sign_runs(den, int(valid_from))[-1][0]
 
     # construction helpers
 
@@ -160,23 +188,13 @@ class RationalFn:
         return poly_eval(self.num, i) / poly_eval(self.den, i)
 
     def __add__(self, other):
-        return self._over_product_den(poly_add(poly_mul(self.num, other.den),
-                                               poly_mul(other.num, self.den)), other)
+        num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
+        return RationalFn(num, poly_mul(self.den, other.den),
+                          max(self.valid_from, other.valid_from))
 
     def __mul__(self, other):
-        return self._over_product_den(poly_mul(self.num, other.num), other)
-
-    def _over_product_den(self, num, other):
-        """num / (self.den * other.den) without the validity scan of
-        __init__: each denominator is positive from its own valid_from, so
-        their product is positive from the larger one and the scan could not
-        move it. Leading coefficients stay positive and deg num stays within
-        deg den, so the other checks of __init__ hold as well."""
-        out = object.__new__(RationalFn)
-        out.num = num
-        out.den = poly_mul(self.den, other.den)
-        out.valid_from = max(self.valid_from, other.valid_from)
-        return out
+        return RationalFn(poly_mul(self.num, other.num), poly_mul(self.den, other.den),
+                          max(self.valid_from, other.valid_from))
 
     def scale(self, c):
         return RationalFn(poly_scale(self.num, c), self.den, self.valid_from)
@@ -209,39 +227,36 @@ class RationalFn:
         dev = self.sub_const(self.limit())
         if not dev.num:
             return Fraction(0), 1
-        p = poly_deg(dev.den) - poly_deg(dev.num)
-        # den(i) >= c*(i+1)^deg for all i >= valid_from: beyond the root bound
-        # of den - (lead/2)(i+1)^deg the half-lead term dominates, below it
-        # the ratio is sampled directly.
-        degd = poly_deg(dev.den)
-        half = poly_scale(_power_of_linear(degd), dev.den[-1] / 2)
-        g = poly_add(dev.den, poly_scale(half, -1))
-        bound = int(_root_bound(g)) + 2 if g else 2
-        c = min(poly_eval(dev.den, i) / Fraction(i + 1) ** degd
-                for i in range(self.valid_from, max(bound, self.valid_from) + 1))
-        c = min(c, dev.den[-1] / 2)
-        num_bound = sum(abs(co) for co in dev.num)
-        return num_bound / c, p
+        degd = poly_deg(self.den)
+        # den(i) >= c*(i+1)^deg for all i >= valid_from, with c at most lead/2
+        c = min(_extremes(self.den, _power_of_linear(degd), self.valid_from)[0],
+                self.den[-1] / 2)
+        return sum(abs(co) for co in dev.num) / c, degd - poly_deg(dev.num)
+
+    def runs_from(self, i0):
+        """sign_runs of r(i) over i >= i0 (and >= valid_from)."""
+        return sign_runs(self.num, max(i0, self.valid_from))
 
     def zeros_from(self, i0):
         """Integer indices i >= i0 with r(i) = 0; None means all of them."""
-        zs = poly_integer_zeros_from(self.num, max(i0, self.valid_from))
-        return zs
+        if not self.num:
+            return None
+        runs = self.runs_from(i0)
+        return [i for (a, s), (b, _) in zip(runs, runs[1:]) if s == 0 for i in range(a, b)]
 
     def sign_from(self, i0):
-        return poly_sign_from(self.num, max(i0, self.valid_from))
+        """+1 / -1 / 0 when r(i) has that sign for every i >= i0, else None."""
+        runs = self.runs_from(i0)
+        return runs[0][1] if len(runs) == 1 else None
 
     def monotone_from(self, i0):
         """'inc' / 'dec' / 'const' for i >= i0, None if mixed/undecided."""
-        diff = self.shift_index(1) + self.scale(-1)
-        s = poly_sign_from(diff.num, max(i0, diff.valid_from))
-        if s == 0:
-            return "const"
-        if s == 1:
-            return "inc"
-        if s == -1:
-            return "dec"
-        return None
+        runs = sign_runs(_step(self.num, self.den), max(i0, self.valid_from))
+        return {0: "const", 1: "inc", -1: "dec"}[runs[0][1]] if len(runs) == 1 else None
+
+    def extremes_from(self, i0):
+        """Exact (inf, sup) of r(i) over i >= i0 (and >= valid_from)."""
+        return _extremes(self.num, self.den, max(i0, self.valid_from))
 
     def __eq__(self, other):
         if not isinstance(other, RationalFn):

@@ -286,46 +286,17 @@ class EigStream:
     def count_below(self, bound):
         """#{k >= start: fn(k) < bound}; int, 'infinite' or 'unknown'."""
         bound = Fraction(bound)
-        diff = self.fn.sub_const(bound)
-        sgn = diff.sign_from(self.start)
-        if sgn is not None and sgn >= 0:
-            return 0
-        if sgn == -1:
+        runs = self.fn.sub_const(bound).runs_from(self.start)
+        if len(runs) == 1:
+            return 0 if runs[0][1] >= 0 else "infinite"
+        # mixed signs: a decreasing stream would end below the bound
+        if self.limit() < bound:
             return "infinite"
-        mono = self.monotone()
-        lim = self.limit()
-        if lim < bound:
-            return "infinite"
-        if mono == "inc":
-            # entries climb past the bound; count the initial run below it
-            k = self.start
-            count = 0
-            while self.fn.eval(k) < bound:
-                count += 1
-                k += 1
-                if count > 100000:
-                    return "unknown"
-            return count
-        if mono == "dec":
-            # strictly decreasing entries stay above their limit >= bound
-            return 0
-        return "unknown"
-
-
-def _stream_extremes(st):
-    """Exact inf/sup of {fn(k): k >= start} together with the limit value.
-
-    Beyond the root bound of the finite-difference numerator the sequence is
-    monotone, so sampling up to that bound plus the limit is exhaustive.
-    """
-    from .ratfn import _root_bound
-    diff = st.fn.shift_index(1) + st.fn.scale(-1)
-    bound = st.start + 2
-    if diff.num:
-        bound = max(bound, int(_root_bound(diff.num)) + 2)
-    vals = [float(st.fn.eval(k)) for k in range(st.start, bound + 1)]
-    lim = float(st.limit())
-    return min(vals + [lim]), max(vals + [lim])
+        if self.monotone() != "inc":
+            return "unknown"
+        # entries climb past the bound; count the initial run below it
+        count = runs[1][0] - self.start if runs[0][1] < 0 else 0
+        return "unknown" if count > 100000 else count
 
 
 @dataclass
@@ -536,9 +507,9 @@ def _structured_summary(s, classes, trunc):
     highs += [vf for vf, _ in c0_vals]
     lows += [vf for vf, _ in c0_vals]
     for st in s.streams:
-        st_lo, st_hi = _stream_extremes(st)
-        highs.append(st_hi)
-        lows.append(st_lo)
+        st_lo, st_hi = st.fn.extremes_from(st.start)
+        highs.append(float(st_hi))
+        lows.append(float(st_lo))
     s.norm = max(highs, default=0.0)
     s.m = max(min(lows, default=0.0), 0.0)
     s.m_e = min(ess_points(s.ess), default=0.0)

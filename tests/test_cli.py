@@ -177,23 +177,46 @@ def test_crash_exits_70_not_refuted(tmp_path, capsys, monkeypatch, power, argv):
     assert "internal error: OverflowError" in capsys.readouterr().err
 
 
-def test_high_power_rule_finishes(tmp_path):
-    # sums and products of rules used to rescan every index below the root
-    # bound of their product denominator, which for a power-5 rule ran past
-    # 30 s; a daemon thread keeps a hang from stalling the suite
-    _, ex2 = run_cli(["gallery", "example2"])
-    p = tmp_path / "power5.json"
-    p.write_text(ex2.replace('"rule":{"den":[1,1],"kind":"ratfn","num":[1]}',
-                             '"rule":{"kind":"power","power":5,"scale":1,"shift":1}'))
-    assert '"power":5' in p.read_text()
+def _exit_code_within(argv, seconds):
+    """run_cli(argv)'s exit code, failing if it runs past the limit; a daemon
+    thread keeps a hang from stalling the suite."""
     codes = []
-    worker = threading.Thread(
-        target=lambda: codes.append(run_cli(["check", str(p), "--predicate", "an"])[0]),
-        daemon=True)
+    worker = threading.Thread(target=lambda: codes.append(run_cli(argv)[0]), daemon=True)
     worker.start()
-    worker.join(20)
-    assert not worker.is_alive(), "check --predicate an still running after 20 s"
-    assert codes == [1]
+    worker.join(seconds)
+    assert not worker.is_alive(), f"{' '.join(argv)} still running after {seconds} s"
+    return codes[0]
+
+
+def _example2_with_rule(tmp_path, rule):
+    _, ex2 = run_cli(["gallery", "example2"])
+    p = tmp_path / "rule.json"
+    p.write_text(ex2.replace('"rule":{"den":[1,1],"kind":"ratfn","num":[1]}', rule))
+    assert rule in p.read_text()
+    return str(p)
+
+
+def test_high_power_rule_finishes(tmp_path):
+    # sums and products of a power-5 rule reach degrees in the tens and
+    # Cauchy root bounds near 10**12, so rule analysis must not walk every
+    # index up to a root bound; such walks once ran past 30 s here
+    p = _example2_with_rule(tmp_path, '"rule":{"kind":"power","power":5,"scale":1,"shift":1}')
+    assert _exit_code_within(["check", p, "--predicate", "an"], 20) == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--predicate", "an"], 1),
+    (["check", "--predicate", "hyponormal"], 1),
+    (["check", "--predicate", "paranormal"], 1),
+    (["spectrum"], 0),
+    (["decompose"], 4),
+], ids=["an", "hyponormal", "paranormal", "spectrum", "decompose"])
+def test_huge_root_bound_rule_finishes(tmp_path, argv, code):
+    # 1/(i + 10**12): its denominator's root bound is 10**12 + 1, far beyond
+    # any walk over the indices below it; the exit codes are example2's own
+    p = _example2_with_rule(tmp_path, '"rule":{"kind":"ratfn","num":[1],"den":[%d,1]}'
+                            % 10 ** 12)
+    assert _exit_code_within(argv[:1] + [p] + argv[1:], 20) == code
 
 
 def test_linalg_error_exits_70(shift_file, capsys, monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anop.errors import BadParams
-from anop.ratfn import RationalFn
+from anop.ratfn import (RationalFn, _extremes, poly, poly_add, poly_compose_shift,
+                        poly_eval, poly_mul, poly_scale, sign_runs)
 from anop.scalars import Scalar, exact_sqrt, scalar_sqrt
 
 
@@ -114,9 +115,109 @@ def _rules(draw):
     return RationalFn(num, den).shift_index(draw(st.integers(-4, 0)))
 
 
+# -- brute-force reference: scan every index up to a Cauchy root bound ------
+
+def _cauchy(p):
+    return int(1 + max((abs(c) for c in p[:-1]), default=0) / abs(p[-1]))
+
+
+def _scanned_runs(p, lo):
+    """Runs of one sign of p over [lo, bound + 2], the last one extended."""
+    runs = []
+    for i in range(lo, max(lo, _cauchy(p) + 2 if p else lo) + 1):
+        v = poly_eval(p, i)
+        s = (v > 0) - (v < 0)
+        if not runs or runs[-1][1] != s:
+            runs.append((i, s))
+    return runs
+
+
+def _scanned_extremes(num, den, lo):
+    """inf/sup of num/den over i >= lo: beyond the root bound of its forward
+    difference's numerator the ratio is monotone towards its limit."""
+    step = poly_add(poly_mul(poly_compose_shift(num, 1), den),
+                    poly_scale(poly_mul(num, poly_compose_shift(den, 1)), -1))
+    hi = max(lo, _cauchy(step) + 2 if step else lo)
+    vals = [poly_eval(num, i) / poly_eval(den, i) for i in range(lo, hi + 1)]
+    vals.append(num[-1] / den[-1] if len(num) == len(den) else Fraction(0))
+    return min(vals), max(vals)
+
+
+def _scanned_validity(den, lo):
+    """First index from which den stays positive, scanning from lo."""
+    bad = [i for i in range(lo, max(lo, _cauchy(den) + 2)) if poly_eval(den, i) <= 0]
+    return bad[-1] + 1 if bad else lo
+
+
+@st.composite
+def _polys(draw):
+    """Products of (i - r) for integer and half-integer roots r, repeats
+    included, times a rootless quadratic or not, times a scale that may be
+    zero; the root bounds stay small."""
+    p = poly([draw(st.integers(-3, 3))])
+    for twice_r in draw(st.lists(st.integers(-8, 16), max_size=4)):
+        p = poly_mul(p, poly([-twice_r, 2]))
+    if draw(st.booleans()):
+        p = poly_mul(p, poly([draw(st.integers(1, 4)), draw(st.integers(-1, 1)), 1]))
+    return p
+
+
+@given(_polys(), st.integers(-4, 12))
+def test_sign_runs_match_the_scan(p, lo):
+    assert sign_runs(p, lo) == _scanned_runs(p, lo)
+
+
+def test_sign_runs_corner_cases():
+    assert sign_runs((), 3) == [(3, 0)]
+    assert sign_runs(poly([-2]), 0) == [(0, -1)]
+    assert sign_runs(poly([0, -1, 1]), 0) == [(0, 0), (2, 1)]      # i(i-1)
+    assert sign_runs(poly([0, 0, 1]), 0) == [(0, 0), (1, 1)]       # double root
+    assert sign_runs(poly([6, -5, 1]), 9) == [(9, 1)]              # beyond the roots
+    assert sign_runs(poly([-10 ** 12, 1]), 0) == [(0, -1), (10 ** 12, 0),
+                                                  (10 ** 12 + 1, 1)]
+
+
+@given(_rules(), st.integers(0, 6))
+def test_extremes_match_the_scan(f, extra):
+    lo = f.valid_from + extra
+    assert _extremes(f.num, f.den, lo) == _scanned_extremes(f.num, f.den, lo)
+
+
 @given(_rules(), _rules())
 def test_sum_and_product_keep_the_scanned_validity(f, g):
+    lo = max(f.valid_from, g.valid_from)
     for out in (f + g, f * g):
-        scanned = RationalFn(out.num, out.den, max(f.valid_from, g.valid_from))
-        assert (out.num, out.den, out.valid_from) == \
-            (scanned.num, scanned.den, scanned.valid_from)
+        assert out.valid_from == _scanned_validity(out.den, lo)
+        assert RationalFn(out.num, out.den).valid_from == _scanned_validity(out.den, 0)
+
+
+def test_root_bound_used_only_by_sign_runs():
+    """Every scan up to a root bound lives in ratfn.sign_runs, so no other
+    function derives a rule's sign, zeros or extremes index by index."""
+    import ast
+    from pathlib import Path
+    import anop
+
+    def uses(source):
+        found = []
+
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            name = getattr(node, "id", None) or getattr(node, "attr", None) \
+                or (node.name if isinstance(node, ast.alias) else None)
+            if name == "_root_bound":
+                found.append(owner)
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+        visit(ast.parse(source), None)
+        return found
+
+    probe = "from .ratfn import _root_bound\ndef f(p):\n    return ratfn._root_bound(p)\n"
+    assert uses(probe) == [None, "f"]
+    offenders = []
+    for path in sorted(Path(anop.__file__).parent.glob("*.py")):
+        for owner in uses(path.read_text()):
+            if not (path.name == "ratfn.py" and owner == "sign_runs"):
+                offenders.append(f"{path.name} in {owner}")
+    assert offenders == []

@@ -15,7 +15,7 @@ from anop.operators import (L2, OperatorExpr, adjoint, identity_operator,
                             multiply, finite)
 from anop.ratfn import RationalFn
 from anop.scalars import Scalar
-from anop.spectral import (Symbol, count_spectrum_in, essential_spectrum,
+from anop.spectral import (EigStream, Symbol, count_spectrum_in, essential_spectrum,
                            kernel_dims, modulus_summary, positive_an_diagonalize,
                            positive_spectral_summary, summary_eigenspace,
                            symbol)
@@ -322,3 +322,29 @@ def test_gram_products_built_only_in_spectral():
             if not (path.name == "spectral.py" and owner in ("gram", "cogram")):
                 offenders.append(f"{path.name}:{line} in {owner}")
     assert offenders == []
+
+
+def _stream(num, den, start=0):
+    return EigStream(0, start, RationalFn(num, den))
+
+
+def test_count_below_increasing_stream():
+    # i/(i+1) = 0, 1/2, 2/3, 3/4, ...: three entries below 3/4
+    assert _stream([0, 1], [1, 1]).count_below(Fraction(3, 4)) == 3
+    assert _stream([0, 1], [1, 1], start=2).count_below(Fraction(3, 4)) == 1
+
+
+def test_count_below_infinite_when_the_limit_is_below_the_bound():
+    # 1/(i+1) = 1, 1/2, 1/3, ...: every entry from k = 2 on is below 1/2
+    assert _stream([1], [1, 1]).count_below(Fraction(1, 2)) == "infinite"
+
+
+def test_count_below_decreasing_stream():
+    # 1 + 1/(i+1) stays above its limit 1
+    assert _stream([2, 1], [1, 1]).count_below(1) == 0
+
+
+def test_count_below_caps_the_count():
+    # (i + 1 - n)/(i + 1) is negative for the n - 1 indices below n - 1
+    assert _stream([1 - 200000, 1], [1, 1]).count_below(0) == "unknown"
+    assert _stream([1 - 50000, 1], [1, 1]).count_below(0) == 49999
