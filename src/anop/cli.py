@@ -60,12 +60,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p):
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--trunc", type=int, default=256)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--k-grid", type=int, default=64, dest="k_grid")
-    p.add_argument("--max-peel", type=int, default=64, dest="max_peel")
+    d = RunConfig()
+    p.add_argument("--tol", type=float, default=d.tol)
+    p.add_argument("--trunc", type=int, default=d.trunc)
+    p.add_argument("--samples", type=int, default=d.samples)
+    p.add_argument("--seed", type=int, default=d.seed)
+    p.add_argument("--k-grid", type=int, default=d.k_grid, dest="k_grid")
+    p.add_argument("--max-peel", type=int, default=d.max_peel, dest="max_peel")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
@@ -171,12 +172,8 @@ def cmd_decompose(args):
     cfg = _config(args)
     t = _load_operator(args.file)
     from .decomposition import peel_decompose
-    try:
-        cert = peel_decompose(t, cfg.tol, cfg.max_peel, cfg.samples, cfg.seed,
-                              cfg.trunc)
-    except (StructureViolation, NotAN, StarParanormalRefuted) as exc:
-        print(f"anop: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURE
+    cert = peel_decompose(t, cfg.tol, cfg.max_peel, cfg.samples, cfg.seed,
+                          cfg.trunc)
     print(_report(cert.to_json(), cfg))
     return 0
 
@@ -185,12 +182,8 @@ def cmd_certify(args):
     cfg = _config(args)
     t = _load_operator(args.file)
     from .decomposition import certify_normal
-    try:
-        cert = certify_normal(t, cfg.tol, cfg.samples, cfg.seed, cfg.trunc,
-                              cfg.max_peel)
-    except (StructureViolation, NotAN, StarParanormalRefuted) as exc:
-        print(f"anop: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURE
+    cert = certify_normal(t, cfg.tol, cfg.samples, cfg.seed, cfg.trunc,
+                          cfg.max_peel)
     print(_report(cert.to_json(), cfg))
     return EXIT_PROVEN if cert.normal else EXIT_NUMERICAL
 
@@ -272,6 +265,9 @@ def main(argv=None):
         return EXIT_NOT_SELF_ADJOINT
     except AnopError as exc:
         print(f"anop: {type(exc).__name__}: {exc}", file=sys.stderr)
+        structural = (StructureViolation, NotAN, StarParanormalRefuted)
+        if args.func in (cmd_decompose, cmd_certify) and isinstance(exc, structural):
+            return EXIT_STRUCTURE
         return EXIT_NUMERICAL
     except Exception as exc:
         # numpy's LinAlgError is a ValueError, but not a usage error

@@ -3,6 +3,10 @@ peeled representation (scaled unitaries above the essential minimum, an
 isometric tail with a one-sided coupling, a finite residual block), the
 U (+) D regrouping, the finite-corner block inverse, and the three
 normality certificates.
+
+The block inverse is verified by its two-sided products: an exact check
+proves invertibility on exact data, and a residual bound shows it
+numerically on float data.
 """
 
 import math
@@ -45,6 +49,11 @@ def _invariance_candidates(t, m):
             for k in range(start, max(bound, start) + w + 1):
                 cands.append(VectorExpr.basis(t.spaces, ci, k))
     return cands
+
+
+def _max_bandwidth(t):
+    return max((b.bandwidth for b in t.blocks.values()
+                if isinstance(b, BandedBlock)), default=0)
 
 
 def invariance_check(t, m, tol=1e-10):
@@ -122,8 +131,7 @@ class TailIsometry:
         plus the leading coordinate vectors of each tail."""
         vecs = list(self.h2.onb())
         bound = max(corner_sizes(self.t, pad=1))
-        wmax = max((b.bandwidth for b in self.t.blocks.values()
-                    if isinstance(b, BandedBlock)), default=0)
+        wmax = _max_bandwidth(self.t)
         for ci, start in sorted((self.h2.tails or {}).items()):
             for k in range(start, max(bound, start) + wmax + 1):
                 vecs.append(VectorExpr.basis(self.t.spaces, ci, k))
@@ -201,8 +209,7 @@ class DecompositionCertificate:
                      "h2": self.h2.to_json(),
                      "isometry": self.tail.to_json() if self.tail else None,
                      "a_columns": [v.to_json() for v in self.a_cols],
-                     "b_matrix": [[_cplx_json(v) for v in row]
-                                  for row in self.b_matrix],
+                     "b_matrix": _jsonable(self.b_matrix),
                      "isometry_residual": self.isometry_residual},
             "h3": self.h3.to_json() if self.h3 is not None else None,
             "below": [b.to_json() for b in self.below],
@@ -219,13 +226,6 @@ class DecompositionCertificate:
             "params": _jsonable(self.tolerances),
             "notes": list(self.notes),
         }
-
-
-def _cplx_json(v):
-    if isinstance(v, Scalar):
-        return [float(v.re), float(v.im)]
-    v = complex(v)
-    return [v.real, v.imag]
 
 
 # -- peeling -----------------------------------------------------------------------------
@@ -270,24 +270,26 @@ def _distinct_values(vals):
     return sorted(dedup.values(), key=lambda p: -p[0])
 
 
+def _matrix_in(basis, images):
+    """Rows of the coefficients of each image along each basis vector."""
+    return [[tb.inner(g) / g.norm2() for tb in images] for g in basis]
+
+
 def _restriction_matrix(t, space, lam):
     """Matrix of T restricted to a finite subspace, divided by lam, in the
     orthonormal basis; returns (matrix, containment_residual, unitary_residual)."""
     basis = space.onb()
+    images = [apply(t, b) for b in basis]
+    coeffs = _matrix_in(basis, images)
     n = len(basis)
     mat = np.zeros((n, n), dtype=complex)
     containment = 0.0
-    for j, b in enumerate(basis):
-        tb = apply(t, b)
-        coeffs = []
+    for j, tb in enumerate(images):
         rec = VectorExpr(t.spaces)
         for i, g in enumerate(basis):
-            c = tb.inner(g) / g.norm2()
-            coeffs.append(c)
-            rec = rec + g.scaled(c)
+            rec = rec + g.scaled(coeffs[i][j])
+            mat[i, j] = complex(coeffs[i][j]) / lam
         containment = max(containment, (tb - rec).norm_float())
-        for i, c in enumerate(coeffs):
-            mat[i, j] = complex(c) / lam
     uu = mat.conj().T @ mat
     vv = mat @ mat.conj().T
     ur = max(float(np.linalg.norm(uu - np.eye(n))),
@@ -328,22 +330,10 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
     above, truncated = _collect_above(s_q, s_q.m_e, max_peel)
     peeled = []
     for v2, v2_exact in above:
-        lam = math.sqrt(v2)
-        lam_exact = _exact_sqrt_opt(v2_exact)
-        g1 = summary_eigenspace(s_q, _val(v2, v2_exact), tol)
-        g2 = summary_eigenspace(s_qq, _val(v2, v2_exact), tol)
-        eq, res = g1.equals(g2, tol)
-        if not eq:
-            raise StructureViolation(
-                f"eigenspaces of |T| and |T*| differ at value {lam:.12g} "
-                f"(projector residual {res:.3g}); the input fails the "
-                f"star-paranormal structure undetectably")
-        mat, cont, ur = _restriction_matrix(t, g1, lam)
-        if cont > tol * max(1.0, lam) or ur > tol * 10:
-            raise StructureViolation(
-                f"restriction at value {lam:.12g} is not unitary "
-                f"(containment {cont:.3g}, unitary residual {ur:.3g})")
-        peeled.append(PeeledLevel(lam, lam_exact, g1, mat, ur))
+        lvl, reason = _unitary_level(t, s_q, s_qq, v2, v2_exact, tol)
+        if lvl is None:
+            raise StructureViolation(reason)
+        peeled.append(lvl)
 
     # tail
     h2 = summary_eigenspace(s_qq, _val(s_q.m_e, m_e2_exact), tol)
@@ -385,21 +375,14 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
     absorbed = []
     below_vecs = []
     for v2, v2_exact in deltas:
-        dl = math.sqrt(max(v2, 0.0))
-        # the kernel (dl = 0) has no unitary part; it stays in the residual block
-        if dl > 0:
-            dl_exact = _exact_sqrt_opt(v2_exact)
-            g1 = summary_eigenspace(s_q, _val(v2, v2_exact), tol)
-            g2 = summary_eigenspace(s_qq, _val(v2, v2_exact), tol)
-            eq, _ = g1.equals(g2, tol)
-            inv_ok = eq and invariance_check(t, g1, tol).status in (PROVEN, NUMERICAL)
-            if inv_ok and g1.dim():
-                mat, cont, ur = _restriction_matrix(t, g1, dl)
-                if cont <= tol * max(1.0, dl) and ur <= 10 * tol:
-                    below.append(PeeledLevel(dl, dl_exact, g1, mat, ur))
-                    below_vecs.extend(g1.vectors)
-                    continue
-        absorbed.append(dl)
+        # the kernel (value 0) has no unitary part; it stays in the residual block
+        lvl = _unitary_level(t, s_q, s_qq, v2, v2_exact, tol)[0] if v2 > 0 else None
+        if lvl is not None and lvl.space.dim() and \
+                invariance_check(t, lvl.space, tol).status != REFUTED:
+            below.append(lvl)
+            below_vecs.extend(lvl.space.vectors)
+        else:
+            absorbed.append(math.sqrt(max(v2, 0.0)))
 
     # complement H3 = (H1 (+) H2)^perp, with the reducing below-spaces
     # leading its basis so the U (+) D view can split them off cleanly
@@ -428,28 +411,23 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
 
     s_star_a_norm = 0.0
     s_star_exact_zero = True
-    if h3 is not None and tail is not None:
+    if h3 is not None:
         basis = h3.onb()
-        for b in basis:
-            tb = apply(t, b)
+        images = [apply(t, b) for b in basis]
+        t_star = adjoint(t)
+        for tb in images:
             acol = h2.project(tb)
             a_cols.append(acol)
-            h3b = h3.project(tb)
-            rest = tb - acol - h3b
+            rest = tb - acol - h3.project(tb)
             for lvl in peeled:
                 rest = rest - lvl.space.project(rest)
             split_res = max(split_res, rest.norm_float())
-            sa = h2.project(apply(adjoint(t), acol))
+            sa = h2.project(apply(t_star, acol))
             if sa.is_zero():
                 continue
             s_star_exact_zero = False
             s_star_a_norm = max(s_star_a_norm, sa.norm_float() / max(m_e, 1e-300))
-        b_rows = _gram_matrix(t, basis)
-    elif h3 is not None:
-        basis = h3.onb()
-        b_rows = _gram_matrix(t, basis)
-    if not a_cols:
-        s_star_exact_zero = True
+        b_rows = _matrix_in(basis, images)
 
     cert = DecompositionCertificate(
         spaces=t.spaces, peeled=peeled, tail_value=m_e,
@@ -478,6 +456,24 @@ def _val(vf, vexact):
     return Scalar.exact(vexact) if vexact is not None else vf
 
 
+def _unitary_level(t, s_q, s_qq, v2, v2_exact, tol):
+    """(PeeledLevel, None) when T is a scaled unitary on the common
+    eigenspace of T*T and TT* at v2, else (None, reason)."""
+    lam = math.sqrt(max(v2, 0.0))
+    g1 = summary_eigenspace(s_q, _val(v2, v2_exact), tol)
+    g2 = summary_eigenspace(s_qq, _val(v2, v2_exact), tol)
+    eq, res = g1.equals(g2, tol)
+    if not eq:
+        return None, (f"eigenspaces of |T| and |T*| differ at value {lam:.12g} "
+                      f"(projector residual {res:.3g}); the input fails the "
+                      f"star-paranormal structure undetectably")
+    mat, cont, ur = _restriction_matrix(t, g1, lam)
+    if cont > tol * max(1.0, lam) or ur > tol * 10:
+        return None, (f"restriction at value {lam:.12g} is not unitary "
+                      f"(containment {cont:.3g}, unitary residual {ur:.3g})")
+    return PeeledLevel(lam, _exact_sqrt_opt(v2_exact), g1, mat, ur), None
+
+
 def _isometry_residual(t, h2, lam):
     worst = 0.0
     for v in _invariance_candidates(t, h2):
@@ -486,20 +482,9 @@ def _isometry_residual(t, h2, lam):
     return worst
 
 
-def _gram_matrix(t, basis):
-    cols = []
-    for b in basis:
-        tb = apply(t, b)
-        cols.append([tb.inner(g) / g.norm2() for g in basis])
-    n = len(basis)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
 def _projector_matrix(space, labels):
     n = len(labels)
     p = np.zeros((n, n), dtype=complex)
-    if space is None:
-        return p
     if space.kind == "full":
         return np.eye(n, dtype=complex)
     if space.kind == "cofinite":
@@ -529,8 +514,7 @@ def _reconstruction_residual(cert, t):
     for p1 in p1s:
         rec += p1 @ tw @ p1
     # ignore the window boundary band, where the compression is lossy
-    w = max((b.bandwidth for b in t.blocks.values()
-             if isinstance(b, BandedBlock)), default=0)
+    w = _max_bandwidth(t)
     mask = np.ones(len(labels), dtype=bool)
     for idx, (ci, k) in enumerate(labels):
         if t.spaces[ci].kind == "l2" and k >= n - w - 1:
@@ -559,7 +543,7 @@ def u_plus_d_view(cert):
     d_part = {"value": cert.tail_value,
               "isometry": cert.tail.to_json() if cert.tail else None,
               "a_columns": [v.to_json() for v in cert.a_cols],
-              "b_matrix": [[_cplx_json(v) for v in row] for row in cert.b_matrix],
+              "b_matrix": _jsonable(cert.b_matrix),
               "h3_dim": (cert.h3.dim() if cert.h3 is not None else None),
               "note": ("below-tail unitary summands are listed in the U part; "
                        f"{below_dims} dimensions move out of the residual block")}
@@ -578,7 +562,7 @@ class BlockInverse:
 
     def to_json(self):
         return {"y_columns": [v.to_json() for v in self.y_cols],
-                "c_inverse": [[_cplx_json(v) for v in row] for row in self.c_inv],
+                "c_inverse": _jsonable(self.c_inv),
                 "residual": self.residual, "exact": self.exact}
 
 
@@ -602,23 +586,31 @@ def assemble_upper(a, b_cols, c_rows):
     return OperatorExpr(spaces, blocks)
 
 
+def _dense_inverse(rows, exact):
+    """Inverse of a square matrix as rows of Scalars: exact elimination, or
+    numpy's inverse on float data; NotInvertible when singular."""
+    rows = [[Scalar.of(v) for v in row] for row in rows]
+    if exact:
+        inv = exact_inverse(rows)
+        if inv is None:
+            raise NotInvertible("finite block is singular")
+        return inv
+    try:
+        inv = np.linalg.inv(np.array([[complex(v) for v in row] for row in rows]))
+    except np.linalg.LinAlgError:
+        raise NotInvertible("finite block is singular") from None
+    return [[Scalar.inexact(x.real, x.imag) for x in row] for row in inv]
+
+
 def _structural_inverse(a):
     """Inverse of a scaled-unitary or all-finite block; None if neither
     structure applies."""
     if all(sp.kind == "finite" for sp in a.spaces):
         sizes = [sp.dim for sp in a.spaces]
-        mat = dense_window(a, sizes)
         starts, labels = window_layout(a.spaces, sizes)
-        if a.is_exact_scalars():
-            inv = exact_inverse(mat)
-            if inv is None:
-                raise NotInvertible("finite block is singular")
-            return _dense_to_op(a.spaces, labels, inv), True
-        m = np.array([[complex(v) for v in row] for row in mat])
-        inv = np.linalg.inv(m)
-        return _dense_to_op(a.spaces, labels,
-                            [[Scalar.inexact(x.real, x.imag) for x in row]
-                             for row in inv]), False
+        exact = a.is_exact_scalars()
+        inv = _dense_inverse(dense_window(a, sizes), exact)
+        return _dense_to_op(a.spaces, labels, inv), exact
     q = gram(a)
     qq = cogram(a)
     ident = identity_like(a)
@@ -660,38 +652,20 @@ def both_minimum_moduli(op, tol=1e-10, trunc=256):
             adjoint_modulus_summary(op, tol, trunc).m)
 
 
-def _certified_invertible(op, tol):
-    """Both minimum moduli of op, or NotInvertible unless both exceed tol."""
-    mm, mm_star = both_minimum_moduli(op, tol)
-    if min(mm, mm_star) <= tol:
-        raise NotInvertible(f"minimum moduli ({mm:.3g}, {mm_star:.3g}) are not "
-                            f"both above tol")
-    return mm, mm_star
-
-
 def block_upper_inverse(a, b_cols, c_rows, tol=1e-10):
     """Inverse blocks (a^-1, -a^-1 b c^-1, c^-1) of [[a, b], [0, c]] with a
-    finite lower-right block; invertibility is certified through the minimum
-    moduli of the assembled operator and of its adjoint."""
+    finite lower-right block. The two-sided products with the assembled
+    operator decide invertibility: checked exactly, they prove it on exact
+    data; on float data a residual within max(tol, 1e-8) shows it
+    numerically."""
     n = len(c_rows)
     assembled = assemble_upper(a, b_cols, c_rows)
-    _certified_invertible(assembled, tol)
     a_inv, a_exact = _structural_inverse(a)
     if a_inv is None:
         raise NotInvertible("the (1,1) block is not in an invertible "
                             "structural form")
-    if a.is_exact_scalars() and n:
-        c_inv = exact_inverse([[Scalar.of(v) for v in row] for row in c_rows])
-        if c_inv is None:
-            raise NotInvertible("finite block is singular")
-        c_exact = True
-    elif n:
-        c_np = np.array([[complex(Scalar.of(v)) for v in row] for row in c_rows])
-        inv = np.linalg.inv(c_np)
-        c_inv = [[Scalar.inexact(x.real, x.imag) for x in row] for row in inv]
-        c_exact = False
-    else:
-        c_inv, c_exact = [], True
+    c_exact = a.is_exact_scalars() or not n
+    c_inv = _dense_inverse(c_rows, c_exact)
     ainv_b = [apply(a_inv, col) for col in b_cols]
     y_cols = []
     for j in range(n):
@@ -724,7 +698,10 @@ def coupling_vanishes(a, b_cols, c_rows, tol=1e-10, alpha=None):
     """Certifies b = 0 for an invertible [[alpha S, b], [0, c]] with S an
     isometry and S*b = 0."""
     assembled = assemble_upper(a, b_cols, c_rows)
-    mm, mm_star = _certified_invertible(assembled, tol)
+    mm, mm_star = both_minimum_moduli(assembled, tol)
+    if min(mm, mm_star) <= tol:
+        raise NotInvertible(f"minimum moduli ({mm:.3g}, {mm_star:.3g}) are not "
+                            f"both above tol")
     if alpha is None:
         alpha = next(_constant_candidates(gram(a)))
         alpha = scalar_sqrt(alpha) if alpha.is_real() else None
@@ -744,9 +721,9 @@ def coupling_vanishes(a, b_cols, c_rows, tol=1e-10, alpha=None):
         if float(np.linalg.norm(truncate(q - ident, nwin).matrix)) > tol:
             raise HypothesisFailed("the (1,1) block is not isometric within tol")
     worst = 0.0
+    s_star = adjoint(s_op)
     for col in b_cols:
-        sb = apply(adjoint(s_op), col)
-        worst = max(worst, sb.norm_float())
+        worst = max(worst, apply(s_star, col).norm_float())
     if worst > tol:
         raise HypothesisFailed(f"S*b does not vanish (norm {worst:.3g})")
     bnorm = max((col.norm_float() for col in b_cols), default=0.0)
@@ -855,8 +832,8 @@ def compress_to_complement(t, kernel):
     new_spaces = tuple(new_spaces)
     blocks = {}
     bound = max(corner_sizes(t, pad=1)) + 2
-    wmax = max((b.bandwidth for b in t.blocks.values()
-                if isinstance(b, BandedBlock)), default=0)
+    wmax = _max_bandwidth(t)
+    t_star = adjoint(t)
     # extras x extras
     if extras:
         mat = [[apply(t, extras[j]).inner(extras[i])
@@ -889,7 +866,7 @@ def compress_to_complement(t, kernel):
                 for k, v in tu.data[ci].items():
                     if k >= start:
                         ent_dn[(k - start, j)] = v
-                tsu = apply(adjoint(t), u)
+                tsu = apply(t_star, u)
                 for k, v in tsu.data[ci].items():
                     if k >= start:
                         ent_up[(j, k - start)] = v.conj()

@@ -398,8 +398,7 @@ def audit(tol=1e-10, samples=2000, seed=42):
          "refuter_found_witness": refute2.status == "Refuted"},
         hypo2.status in ("Proven", "Numerical") and refute2.status != "Refuted"))
     ess = essential_spectrum(cogram(t2), tol)
-    ess_vals = sorted(float(p[1].re) if isinstance(p[1], Scalar) else p[1]
-                      for p in ess if p[0] == "point")
+    ess_vals = sorted(float(p[1].re) for p in ess if p[0] == "point")
     records.append(AuditRecord(
         "example2.ess_TTstar", "stated: sigma_ess(TT*) = {0, 1}",
         {"points": ess_vals,

@@ -616,8 +616,7 @@ def an_check(t, tol=1e-10, trunc=256):
 
 def _ess_json(p):
     if p[0] == "point":
-        v = p[1]
-        return {"point": float(v.re) if isinstance(v, Scalar) else float(v)}
+        return {"point": float(p[1].re)}
     return {"interval": [p[1], p[2]]}
 
 

@@ -166,7 +166,7 @@ def _merge_pieces(pieces, tol=1e-10):
             merged.append((lo, hi))
     out_points = []
     for p in points:
-        pf = float(p.re) if isinstance(p, Scalar) else float(p)
+        pf = float(p.re)
         if any(lo - tol <= pf <= hi + tol for lo, hi in merged):
             continue
         if any(_pt_eq(p, q, tol) for q in out_points):
@@ -174,16 +174,13 @@ def _merge_pieces(pieces, tol=1e-10):
         out_points.append(p)
     out = [("interval", lo, hi) for lo, hi in merged]
     out += [("point", p) for p in out_points]
-    return sorted(out, key=lambda t: t[1] if t[0] == "interval"
-                  else (float(t[1].re) if isinstance(t[1], Scalar) else float(t[1])))
+    return sorted(out, key=lambda t: t[1] if t[0] == "interval" else float(t[1].re))
 
 
 def _pt_eq(a, b, tol):
-    if isinstance(a, Scalar) and isinstance(b, Scalar) and a.is_exact and b.is_exact:
+    if a.is_exact and b.is_exact:
         return a == b
-    fa = float(a.re) if isinstance(a, Scalar) else float(a)
-    fb = float(b.re) if isinstance(b, Scalar) else float(b)
-    return abs(fa - fb) <= tol
+    return abs(float(a.re) - float(b.re)) <= tol
 
 
 def essential_spectrum(op, tol=1e-10):
@@ -218,8 +215,7 @@ def ess_points(pieces):
     out = []
     for p in pieces:
         if p[0] == "point":
-            v = p[1]
-            out.append(float(v.re) if isinstance(v, Scalar) else float(v))
+            out.append(float(p[1].re))
         else:
             out.append(p[1])
             out.append(p[2])
@@ -346,9 +342,7 @@ def _ess_to_json(ess):
     out = []
     for p in ess:
         if p[0] == "point":
-            v = p[1]
-            out.append({"point": scalar_to_json(v) if isinstance(v, Scalar)
-                        else float(v)})
+            out.append({"point": scalar_to_json(p[1])})
         else:
             out.append({"interval": [p[1], p[2]]})
     return out
@@ -558,8 +552,7 @@ def _symbolic_summary(s, classes, trunc):
     def outside(v):
         for piece in s.ess:
             if piece[0] == "point":
-                ref = piece[1]
-                rf = float(ref.re) if isinstance(ref, Scalar) else float(ref)
+                rf = float(piece[1].re)
                 if abs(v - rf) <= 1e-6 * max(1.0, abs(v)):
                     return False
             else:
@@ -685,9 +678,7 @@ class ModulusSummary:
         self.ess = []
         for piece in base.ess:
             if piece[0] == "point":
-                v = piece[1]
-                self.ess.append(("point", scalar_sqrt(v) if isinstance(v, Scalar)
-                                 else math.sqrt(max(v, 0.0))))
+                self.ess.append(("point", scalar_sqrt(piece[1])))
             else:
                 self.ess.append(("interval", math.sqrt(max(piece[1], 0.0)),
                                  math.sqrt(max(piece[2], 0.0))))

@@ -186,6 +186,26 @@ def test_block_inverse_singular_block_rejected():
         block_upper_inverse(a, b, [[1]])
 
 
+@pytest.mark.parametrize("coupled", [False, True])
+def test_block_inverse_tiny_finite_block_is_exact(coupled):
+    # the minimum modulus 1e-11 lies below tol, yet the inverse exists and
+    # its two-sided products are exactly the identity
+    a = identity_operator((L2,)).scaled(2)
+    b = [VectorExpr.basis(a.spaces, 0, 0) if coupled else VectorExpr(a.spaces, [{}])]
+    inv = block_upper_inverse(a, b, [[Fraction(1, 10 ** 11)]])
+    assert inv.exact and inv.residual == 0.0
+    assert inv.c_inv[0][0] == Scalar.exact(10 ** 11)
+
+
+def test_block_inverse_float_finite_block():
+    a = identity_operator((L2,)).scaled(2.0)
+    b = [VectorExpr(a.spaces, [{}])]
+    with pytest.raises(NotInvertible):
+        block_upper_inverse(a, b, [[0.0]])
+    inv = block_upper_inverse(a, b, [[1e-12]])
+    assert not inv.exact and inv.residual == 0.0
+
+
 def test_coupling_vanishes_proven_on_zero():
     a = identity_operator((L2,)).scaled(2)
     v = coupling_vanishes(a, [VectorExpr(a.spaces, [{}])], [[1]])
@@ -234,14 +254,15 @@ def test_certify_checks_hypotheses_once(monkeypatch):
 
 
 def _count_layers(monkeypatch):
-    """Count calls of multiply, positive_spectral_summary and kernel_basis
-    through every anop binding of each; a kernel_basis call counts only when
-    it has rows to eliminate (with none it returns the unit basis)."""
+    """Count calls of apply, multiply, positive_spectral_summary and
+    kernel_basis through every anop binding of each; a kernel_basis call
+    counts only when it has rows to eliminate (with none it returns the unit
+    basis)."""
     import sys
     import anop.exactla
     import anop.operators
     import anop.spectral
-    targets = ((anop.operators, "multiply"),
+    targets = ((anop.operators, "apply"), (anop.operators, "multiply"),
                (anop.spectral, "positive_spectral_summary"),
                (anop.exactla, "kernel_basis"))
     calls = {name: 0 for _, name in targets}
@@ -287,6 +308,16 @@ def test_peel_builds_each_derived_object_once(monkeypatch):
     peel_decompose(example1(), samples=300)
     assert calls["multiply"] <= 2 and calls["positive_spectral_summary"] == 2
     assert calls["kernel_basis"] <= 7
+    # T meets each H3 basis vector once, for both the coupling and the B block
+    assert calls["apply"] <= 16
+
+
+def test_block_inverse_builds_no_spectral_summary(monkeypatch):
+    calls = _count_layers(monkeypatch)
+    a = identity_operator((L2,)).scaled(2)
+    inv = block_upper_inverse(a, [VectorExpr.basis(a.spaces, 0, 0)], [[3]])
+    assert inv.exact
+    assert calls["positive_spectral_summary"] == 0
 
 
 def test_peel_non_hyponormal_form_builds_each_derived_object_once(monkeypatch):

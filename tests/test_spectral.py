@@ -324,6 +324,44 @@ def test_gram_products_built_only_in_spectral():
     assert offenders == []
 
 
+def _dead_names(sources):
+    """(module, name) of each imported name that its module never uses, and
+    of each private function or method that no module references; the
+    imports of __init__.py are its exports."""
+    import ast
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    used = {mod: {n.id if isinstance(n, ast.Name) else n.attr
+                  for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
+            for mod, tree in trees.items()}
+    anywhere = set().union(*used.values())
+    found = []
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and mod != "__init__.py":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used[mod]:
+                        found.append((mod, bound))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                    node.name.startswith("_") and not node.name.startswith("__") \
+                    and node.name not in anywhere:
+                found.append((mod, node.name))
+    return found
+
+
+def test_no_unused_imports_or_private_functions():
+    """A fold that leaves an import or a private helper behind fails here."""
+    from pathlib import Path
+    import anop
+    assert _dead_names({"a.py": "import os\nfrom .b import _g, h\nh()\n",
+                        "b.py": "def _g():\n    pass\n\n\ndef h():\n    pass\n"
+                                "class C:\n    def _m(self):\n        pass\n"}) \
+        == [("a.py", "os"), ("a.py", "_g"), ("b.py", "_g"), ("b.py", "_m")]
+    sources = {path.name: path.read_text()
+               for path in sorted(Path(anop.__file__).parent.glob("*.py"))}
+    assert _dead_names(sources) == []
+
+
 def _stream(num, den, start=0):
     return EigStream(0, start, RationalFn(num, den))
 
