@@ -4,9 +4,9 @@ isometric tail with a one-sided coupling, a finite residual block), the
 U (+) D regrouping, the finite-corner block inverse, and the three
 normality certificates.
 
-The block inverse is verified by its two-sided products: an exact check
-proves invertibility on exact data, and a residual bound shows it
-numerically on float data.
+Invertibility is decided exactly: by trivial kernels with 0 outside the
+essential spectrum of T*T, or by the block inverse's two-sided product
+check (on float data its residual bound shows it numerically).
 """
 
 import math
@@ -335,8 +335,9 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
             raise StructureViolation(reason)
         peeled.append(lvl)
 
-    # tail
-    h2 = summary_eigenspace(s_qq, _val(s_q.m_e, m_e2_exact), tol)
+    # tail (none without an essential spectrum: m_e then defaults to 0.0)
+    h2 = summary_eigenspace(s_qq, _val(s_q.m_e, m_e2_exact), tol) if s_q.ess \
+        else Subspace.zero(t.spaces)
     tail = None
     iso_res = 0.0
     if not h2.is_zero():
@@ -645,13 +646,6 @@ def _dense_to_op(spaces, labels, mat):
     return OperatorExpr(spaces, blocks)
 
 
-def both_minimum_moduli(op, tol=1e-10, trunc=256):
-    """(m(|T|), m(|T*|)); the pair certifies invertibility when both are
-    positive (one side alone only certifies bounded-below)."""
-    return (modulus_summary(op, tol, trunc).m,
-            adjoint_modulus_summary(op, tol, trunc).m)
-
-
 def block_upper_inverse(a, b_cols, c_rows, tol=1e-10):
     """Inverse blocks (a^-1, -a^-1 b c^-1, c^-1) of [[a, b], [0, c]] with a
     finite lower-right block. The two-sided products with the assembled
@@ -696,12 +690,9 @@ def block_upper_inverse(a, b_cols, c_rows, tol=1e-10):
 
 def coupling_vanishes(a, b_cols, c_rows, tol=1e-10, alpha=None):
     """Certifies b = 0 for an invertible [[alpha S, b], [0, c]] with S an
-    isometry and S*b = 0."""
-    assembled = assemble_upper(a, b_cols, c_rows)
-    mm, mm_star = both_minimum_moduli(assembled, tol)
-    if min(mm, mm_star) <= tol:
-        raise NotInvertible(f"minimum moduli ({mm:.3g}, {mm_star:.3g}) are not "
-                            f"both above tol")
+    isometry and S*b = 0. Once the (1,1) block is a scaled isometry,
+    block_upper_inverse decides invertibility, and exact data decides
+    S*b = 0 and b = 0 exactly (float data within tol, and only Numerical)."""
     if alpha is None:
         alpha = next(_constant_candidates(gram(a)))
         alpha = scalar_sqrt(alpha) if alpha.is_real() else None
@@ -720,19 +711,20 @@ def coupling_vanishes(a, b_cols, c_rows, tol=1e-10, alpha=None):
         nwin = max(corner_sizes(q)) + 2
         if float(np.linalg.norm(truncate(q - ident, nwin).matrix)) > tol:
             raise HypothesisFailed("the (1,1) block is not isometric within tol")
-    worst = 0.0
+    inv = block_upper_inverse(a, b_cols, c_rows, tol)
+    exact = inv.exact and alpha.is_exact
     s_star = adjoint(s_op)
-    for col in b_cols:
-        worst = max(worst, apply(s_star, col).norm_float())
-    if worst > tol:
+    s_star_b = [apply(s_star, col) for col in b_cols]
+    worst = max((v.norm_float() for v in s_star_b), default=0.0)
+    if not (all(v.is_zero() for v in s_star_b) if exact else worst <= tol):
         raise HypothesisFailed(f"S*b does not vanish (norm {worst:.3g})")
     bnorm = max((col.norm_float() for col in b_cols), default=0.0)
-    if bnorm <= tol:
-        return PredicateVerdict("coupling_vanishes", PROVEN,
+    if all(col.is_zero() for col in b_cols) if exact else bnorm <= tol:
+        return PredicateVerdict("coupling_vanishes", PROVEN if exact else NUMERICAL,
                                 evidence={"rule": "invertibility and a one-sided "
                                                   "coupling force b = 0",
-                                          "b_norm": bnorm, "m": mm,
-                                          "m_adjoint": mm_star},
+                                          "b_norm": bnorm,
+                                          "inverse_residual": inv.residual},
                                 tolerances={"tol": tol})
     raise StructureViolation(
         f"certified hypotheses but nonzero coupling (norm {bnorm:.3g})")
@@ -755,14 +747,18 @@ class NormalityCertificate:
 
 @shares_derived
 def certify_normal(t, tol=1e-10, samples=2000, seed=42, trunc=256, max_peel=64):
-    """Normality through invertibility, kernel dimensions, or the Weyl
-    condition; refuses to certify when none of the routes apply."""
+    """Normality through invertibility or matching finite kernel dimensions
+    (the Weyl condition); refuses to certify when neither applies. T is
+    invertible iff dim N(T) = dim N(T*) = 0 and 0 lies outside the essential
+    spectrum of T*T, decided exactly; the minimum moduli are reported only."""
     _require_hypotheses(t, tol, samples, seed, trunc)
     msum = modulus_summary(t, tol, trunc)
     amsum = adjoint_modulus_summary(t, tol, trunc)
     details = {"m": msum.m, "m_adjoint": amsum.m, "m_e": msum.m_e,
                "norm": msum.norm}
-    if min(msum.m, amsum.m) > tol:
+    kd = kernel_dims(t, tol, trunc)
+    fredholm = not any(_contains_zero(piece, tol) for piece in msum.base.ess)
+    if kd.as_tuple() == (0, 0) and fredholm:
         cert = peel_decompose(t, tol, max_peel, samples, seed, trunc)
         details["s_star_a_norm"] = cert.s_star_a_norm
         details["isometry_residual"] = cert.isometry_residual
@@ -772,19 +768,13 @@ def certify_normal(t, tol=1e-10, samples=2000, seed=42, trunc=256, max_peel=64):
             raise StructureViolation(
                 f"invertible input kept a nonzero tail coupling ({a_norm:.3g})")
         return _conclude(t, "InvertiblePath", details)
-    kd = kernel_dims(t, tol, trunc)
     details["kernel_dims"] = kd.to_json()
     dims_equal_finite = (isinstance(kd.dim_t, int) and kd.dim_t == kd.dim_t_star)
     details["m_e_adjoint"] = amsum.m_e
-    weyl_ok = dims_equal_finite and msum.m_e > tol and amsum.m_e > tol
+    weyl_ok = dims_equal_finite and fredholm
     details["zero_outside_weyl_spectrum"] = weyl_ok
     if not weyl_ok:
         details["is_normal"] = is_normal(t).status
-        return NormalityCertificate("NotApplicable", False, float("nan"), details)
-    if kd.dim_t == 0:
-        # trivial kernel with a positive essential minimum: the operator is
-        # already invertible unless spectrum accumulates at zero, which the
-        # finite-count criterion rules out
         return NormalityCertificate("NotApplicable", False, float("nan"), details)
     kernel = summary_eigenspace(msum.base, Scalar.exact(0), tol)
     restricted = compress_to_complement(t, kernel)
@@ -794,6 +784,15 @@ def certify_normal(t, tol=1e-10, samples=2000, seed=42, trunc=256, max_peel=64):
     if not sub.normal:
         return NormalityCertificate("KernelDimPath", False, float("nan"), details)
     return _conclude(t, "KernelDimPath", details)
+
+
+def _contains_zero(piece, tol):
+    """Whether an essential-spectrum piece of a positive operator holds 0:
+    exactly on an exact point, within tol otherwise."""
+    p = piece[1]
+    if piece[0] == "interval":
+        return p <= tol
+    return p.is_zero() if p.is_exact else float(p.re) <= tol
 
 
 def _conclude(t, route, details):
@@ -811,14 +810,12 @@ def _conclude(t, route, details):
 def compress_to_complement(t, kernel):
     """Compression of t to the orthogonal complement of a finite-dimensional
     kernel, re-expressed over a fresh space list (finite extras component
-    first, then the surviving l2 tails)."""
+    first, then the surviving l2 tails, if any)."""
     if kernel.dim() is None:
         raise InfiniteH2("kernel is not finite-dimensional")
     comp = kernel.complement()
     if comp.kind == "full":
         return t
-    if comp.kind != "cofinite":
-        raise StructureViolation("complement of the kernel is not cofinite")
     extras = comp.onb()
     tails = comp.tails
     new_spaces = []

@@ -13,6 +13,7 @@ from fractions import Fraction
 from .blocks import BandedBlock, DenseBlock, FiniteRankBlock
 from .diagonals import DiagonalSeq
 from .errors import BadParams
+from .exactla import mat_identity, mat_mul
 from .operators import (L2, OperatorExpr, adjoint, apply, corner_sizes,
                         dense_window, direct_sum, finite, ops_equal_exact,
                         window_layout)
@@ -131,8 +132,7 @@ def theorem_form(levels, m_e, tail_power=1, h3_dim=0, a_entries=(), b_matrix=Non
         blk = DenseBlock([[Scalar.of(v) for v in row] for row in mat])
         if any(len(row) != n for row in mat):
             raise BadParams("level matrices must be square")
-        uu = _dense_mul(blk.adjoint(), blk)
-        if not _is_identity(uu):
+        if mat_mul(blk.adjoint().matrix, blk.matrix) != mat_identity(n):
             raise BadParams("level matrices must be unitary")
         summands.append(OperatorExpr((finite(n),), {(0, 0): blk.scaled(lam)}))
     d, p = int(h3_dim), int(tail_power)
@@ -155,20 +155,6 @@ def theorem_form(levels, m_e, tail_power=1, h3_dim=0, a_entries=(), b_matrix=Non
     dblock = BandedBlock({p: shift}).absorb_entries(entries)
     summands.append(OperatorExpr((L2,), {(0, 0): dblock}))
     return direct_sum(*summands)
-
-
-def _dense_mul(a, b):
-    n = a.nrows
-    return [[sum((a.matrix[i][k] * b.matrix[k][j] for k in range(a.ncols)),
-                 Scalar.exact(0)) for j in range(b.ncols)] for i in range(n)]
-
-
-def _is_identity(rows):
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v != Scalar.exact(1 if i == j else 0):
-                return False
-    return True
 
 
 _PYTH = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),

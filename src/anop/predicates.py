@@ -27,10 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotNormAttaining, UncertifiedTail
-from .exactla import psd_decide, quad_form
+from .exactla import _unit, psd_decide, quad_form
 from .operators import (adjoint, apply, apply_float, corner_sizes, dense_window,
                         multiply, op_is_zero, truncate, window_layout)
-from .scalars import Scalar, ZERO
+from .scalars import Scalar
 from .spectral import (adjoint_modulus_summary, cogram, count_spectrum_in, gram,
                        memoised, modulus_summary, shares_derived,
                        summary_eigenspace, symbol)
@@ -135,23 +135,17 @@ def _corner_witness_search(d, corner, labels):
     n = len(corner)
     for i in range(n):
         if not corner[i][i].is_zero():
-            return VectorExpr.from_flat(d.spaces, labels, _unit_flat(n, i))
+            return VectorExpr.from_flat(d.spaces, labels, _unit(n, i))
     for i in range(n):
         for j in range(i + 1, n):
             if corner[i][j].is_zero():
                 continue
             for phase in (Scalar.exact(1), Scalar.exact(0, 1)):
-                flat = _unit_flat(n, i)
+                flat = _unit(n, i)
                 flat[j] = phase
                 if not quad_form(corner, flat).is_zero():
                     return VectorExpr.from_flat(d.spaces, labels, flat)
     return None
-
-
-def _unit_flat(n, i):
-    flat = [ZERO] * n
-    flat[i] = Scalar.exact(1)
-    return flat
 
 
 def _norms2(t, x):
@@ -576,8 +570,10 @@ def an_check(t, tol=1e-10, trunc=256):
     intervals = [p for p in s.ess if p[0] == "interval"]
     evidence = {"ess": [_ess_json(p) for p in s.ess], "m2": s.m, "m_e2": s.m_e}
     if intervals:
+        # a nonconstant real symbol has a range of positive width, so on
+        # exact data every interval piece refutes; float widths meet tol
         lo, hi = intervals[0][1], intervals[-1][2]
-        if hi - lo > tol:
+        if t.is_exact_scalars() or hi - lo > tol:
             return PredicateVerdict("an", REFUTED,
                                     evidence={**evidence,
                                               "rule": "essential spectrum has "

@@ -252,6 +252,23 @@ def test_decompose_kernel_below_tail(tmp_path):
     assert rep["reconstruction_residual"] == 0.0 and rep["split_residual"] == 0.0
 
 
+def test_decompose_without_essential_spectrum(tmp_path):
+    # 0 (+) flip is finite only: an empty essential spectrum is not the
+    # point 0, so its kernel is no tail eigenspace and flip peels at 1
+    p = tmp_path / "flip_zero.json"
+    p.write_text('{"spaces": [{"kind": "finite", "dim": 1}, '
+                 '{"kind": "finite", "dim": 2}], "blocks": ['
+                 '{"row": 1, "col": 1, "kind": "dense", "matrix": [[0, 1], [1, 0]]}]}')
+    code, out = run_cli(["decompose", str(p), "--samples", "300", "--json"])
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert [(lvl["value"], lvl["dim"]) for lvl in rep["peeled"]] == [(1.0, 2)]
+    assert rep["tail"]["isometry"] is None and rep["h3"] is None
+    code, out = run_cli(["certify", str(p), "--samples", "300", "--json"])
+    assert code == 0
+    assert json.loads(out)["report"]["route"] == "KernelDimPath"
+
+
 def test_usage_error_exit_64():
     with pytest.raises(SystemExit) as exc:
         run_cli(["check", "x.json", "--predicate", "bogus"])

@@ -2,29 +2,31 @@
 finite-corner block inverse, and the normality certificates."""
 
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from anop.blocks import DenseBlock
 from anop.decomposition import (assemble_upper, block_upper_inverse,
-                                both_minimum_moduli, certify_normal,
-                                compress_to_complement, coupling_vanishes,
-                                invariance_check, m_star_equals_m_check,
-                                peel_decompose, reducing_check, u_plus_d_view)
+                                certify_normal, compress_to_complement,
+                                coupling_vanishes, invariance_check,
+                                m_star_equals_m_check, peel_decompose,
+                                reducing_check, u_plus_d_view)
 from anop.errors import (HypothesisFailed, NotInvertible, StarParanormalRefuted,
                          StructureViolation)
-from anop.gallery import (example1, flip_unitary, nilpotent_pair,
-                          random_rational_unitary, random_theorem_form,
-                          right_shift, theorem_form)
+from anop.gallery import (diag_operator, example1, flip_unitary,
+                          nilpotent_pair, random_rational_unitary,
+                          random_theorem_form, right_shift, theorem_form)
 from anop.operators import (L2, OperatorExpr, adjoint, apply, direct_sum,
                             finite, identity_operator, multiply, ops_equal_exact)
 from anop.predicates import an_check, compute_M_and_Mstar, star_paranormal_check
 from anop.scalars import Scalar
 from anop.serialize import load
-from anop.spectral import modulus_summary
+from anop.spectral import adjoint_modulus_summary, modulus_summary
 from anop.subspaces import Subspace
 from anop.vectors import VectorExpr
 
@@ -224,6 +226,97 @@ def test_coupling_hypothesis_failure():
     b = [VectorExpr(a.spaces, [{0: Scalar.exact(1)}])]
     with pytest.raises(HypothesisFailed):
         coupling_vanishes(a, b, [[1]])  # S*b != 0 for the identity
+    # invertible, but the (1,1) block diag(1, 2, 2, ...) is no scaled isometry
+    a = diag_operator([1], limit=2)
+    with pytest.raises(HypothesisFailed, match="not isometric"):
+        coupling_vanishes(a, [VectorExpr(a.spaces, [{}])], [[1]])
+
+
+def test_coupling_invertibility_is_exact_not_a_modulus_gate():
+    # [[2I, 0], [0, 1/10**11]] is invertible although both minimum moduli
+    # are below tol; the exact product check decides it
+    a = identity_operator((L2,)).scaled(2)
+    v = coupling_vanishes(a, [VectorExpr(a.spaces, [{}])],
+                          [[Fraction(1, 10 ** 11)]])
+    assert v.status == "Proven"
+    assert v.evidence["inverse_residual"] == 0.0 and "m" not in v.evidence
+
+
+def test_coupling_on_float_data_is_numerical():
+    a = identity_operator((L2,)).scaled(2.0)
+    v = coupling_vanishes(a, [VectorExpr(a.spaces, [{}])], [[1.0]])
+    assert v.status == "Numerical" and v.evidence["b_norm"] == 0.0
+
+
+def test_coupling_decides_s_star_b_exactly():
+    # S = I, so S*b = b = 10**-11 e0 is nonzero although its norm is below tol
+    a = identity_operator((L2,)).scaled(2)
+    b = [VectorExpr(a.spaces, [{0: Scalar.exact(Fraction(1, 10 ** 11))}])]
+    with pytest.raises(HypothesisFailed, match="S\\*b does not vanish"):
+        coupling_vanishes(a, b, [[1]])
+
+
+def _tiny_modulus_2i():
+    tiny = OperatorExpr((finite(1),), {(0, 0): DenseBlock([[Fraction(1, 10 ** 11)]])})
+    return direct_sum(identity_operator((L2,)).scaled(2), tiny)
+
+
+def test_certify_invertible_with_tiny_minimum_modulus():
+    cert = certify_normal(_tiny_modulus_2i(), samples=100)
+    assert cert.route == "InvertiblePath" and cert.normal
+    assert cert.commutator_bound == 0.0
+    assert cert.details["m"] == pytest.approx(1e-11)
+    assert "kernel_dims" not in cert.details
+
+
+def test_certify_finite_only_kernel_path():
+    # 0 (+) flip has no essential spectrum, so 0 lies outside it
+    t = direct_sum(OperatorExpr((finite(1),), {}), flip_unitary())
+    cert = certify_normal(t, samples=100)
+    assert cert.route == "KernelDimPath" and cert.normal
+    assert cert.commutator_bound == 0.0
+    assert cert.details["zero_outside_weyl_spectrum"] is True
+    assert cert.details["restricted_spaces"] == ["finite"]
+    assert cert.details["restricted_route"] == "InvertiblePath"
+
+
+def test_certify_zero_operator_on_finite_space():
+    cert = certify_normal(OperatorExpr((finite(2),), {}), samples=100)
+    assert cert.route == "KernelDimPath" and cert.normal
+    assert cert.details["restricted_spaces"] == []
+
+
+@st.composite
+def _normal_direct_sums(draw):
+    """Exact normal direct sums: scaled rational unitaries, optionally a
+    1/10**11 block, a zero summand and a scaled identity on l2."""
+    positive = st.fractions(min_value=Fraction(1, 3), max_value=4,
+                            max_denominator=3)
+    summands = []
+    for lam, n, seed in draw(st.lists(st.tuples(positive, st.integers(1, 3),
+                                                st.integers(0, 10 ** 6)),
+                                      min_size=1, max_size=3)):
+        u = random_rational_unitary(random.Random(seed), n)
+        summands.append(OperatorExpr((finite(n),), {(0, 0): DenseBlock(u)})
+                        .scaled(Scalar.exact(lam)))
+    if draw(st.booleans()):
+        summands.append(OperatorExpr((finite(1),), {(0, 0): DenseBlock(
+            [[Fraction(1, 10 ** 11)]])}))
+    zero = draw(st.booleans())
+    if zero:
+        summands.append(OperatorExpr((finite(draw(st.integers(1, 2))),), {}))
+    if draw(st.booleans()):
+        summands.append(identity_operator((L2,)).scaled(Scalar.exact(draw(positive))))
+    order = draw(st.permutations(range(len(summands))))
+    return direct_sum(*(summands[i] for i in order)), zero
+
+
+@given(_normal_direct_sums())
+def test_certify_normal_direct_sums(case):
+    t, zero = case
+    cert = certify_normal(t, samples=100)
+    assert cert.normal and cert.commutator_bound == 0.0
+    assert cert.route == ("KernelDimPath" if zero else "InvertiblePath")
 
 
 def test_certify_invertible_path():
@@ -373,8 +466,7 @@ def test_compress_to_complement_drops_kernel_block():
     ker = summary_eigenspace(s, Scalar.exact(0))
     assert ker.dim() == 1
     t2 = compress_to_complement(t, ker)
-    m1, m2 = both_minimum_moduli(t2)
-    assert min(m1, m2) > 1.0
+    assert min(modulus_summary(t2).m, adjoint_modulus_summary(t2).m) > 1.0
     assert an_check(t2).status == "Proven"
 
 

@@ -8,7 +8,7 @@ from anop.blocks import BandedBlock
 from anop.diagonals import DiagonalSeq
 from anop.errors import NotNormAttaining
 from anop.gallery import (diag_operator, example1, example2, flip_unitary,
-                          nilpotent_pair, right_shift)
+                          jacobi_operator, nilpotent_pair, right_shift)
 from anop.operators import (L2, OperatorExpr, adjoint, apply, direct_sum,
                             identity_operator, multiply)
 from anop.predicates import (an_check, compute_M_and_Mstar, hyponormal_check,
@@ -143,6 +143,20 @@ def test_an_decreasing_rule_accepted():
     rule = RationalFn.const(1) + RationalFn.power_term(1, 1, 1)
     v = an_check(diag_operator([], rule=rule))
     assert v.status == "Proven"
+
+
+def test_an_exact_interval_refuted_however_narrow():
+    # I + 10**-12 (S + S*): sigma_ess(T*T) is an interval of width ~8e-12,
+    # below tol, but a nonconstant exact symbol has a range of positive width
+    t = jacobi_operator(DiagonalSeq(limit=Scalar.exact(1)),
+                        DiagonalSeq(limit=Scalar.exact(Fraction(1, 10 ** 12))))
+    v = an_check(t)
+    assert v.status == "Refuted"
+    assert "positive diameter" in v.evidence["rule"]
+    # on float data the width is compared against tol
+    t = jacobi_operator(DiagonalSeq(limit=Scalar.inexact(1.0)),
+                        DiagonalSeq(limit=Scalar.inexact(1e-12)))
+    assert an_check(t).status == "Numerical"
 
 
 def test_compute_m_mstar_scaled_shift():
