@@ -3,7 +3,8 @@
 anop check FILE --predicate NAME     exit 0 Proven, 1 Refuted, 2 Numerical/Undetermined
 anop spectrum FILE --of T*T|TT*|modulus
 anop decompose FILE                  exit 0 valid certificate, 4 structure violation
-anop certify FILE                    exit 0 normal proven, 2 not applicable
+anop certify FILE                    exit 0 normal proven, 2 not applicable,
+                                     4 structure violation
 anop audit
 anop gallery NAME                    operator file on stdout
 

@@ -7,6 +7,13 @@ normality certificates.
 Invertibility is decided exactly: by trivial kernels with 0 outside the
 essential spectrum of T*T, or by the block inverse's two-sided product
 check (on float data its residual bound shows it numerically).
+
+A cofinite subspace is handled through finitely many vectors: its extra
+directions plus, for each tail, the tail window, the coordinate vectors
+from the tail's start through the corner padded by one plus the largest
+bandwidth. Past the window a banded operator repeats its tail pattern, so
+the window carries the invariance candidates, the tail isometry's witness
+basis and the tail-to-tail couplings of a compression.
 """
 
 import math
@@ -31,23 +38,25 @@ from .spectral import (_exact_sqrt_opt, _window_norm_bound,
                        adjoint_modulus_summary, cogram, gram, kernel_dims,
                        memoised, modulus_summary, shares_derived,
                        summary_eigenspace)
-from .subspaces import Subspace
+from .subspaces import Subspace, orthogonalize
 from .vectors import VectorExpr
 
 
 # -- invariance ----------------------------------------------------------------------
 
+def _tail_window(t, ci, start):
+    """The tail window of component ci for a tail from `start`."""
+    stop = max(max(corner_sizes(t, pad=1)), start) + _max_bandwidth(t) + 1
+    return [VectorExpr.basis(t.spaces, ci, k) for k in range(start, stop)]
+
+
 def _invariance_candidates(t, m):
     """Finitely many vectors whose invariance residuals certify invariance of
-    a span or cofinite subspace under a banded operator."""
+    a span or cofinite subspace under a banded operator: its extra
+    directions and its tail windows."""
     cands = list(m.vectors)
-    if m.kind == "cofinite":
-        bound = max(corner_sizes(t, pad=1))
-        for ci, start in m.tails.items():
-            blk = t.blocks.get((ci, ci))
-            w = blk.bandwidth if blk is not None else 0
-            for k in range(start, max(bound, start) + w + 1):
-                cands.append(VectorExpr.basis(t.spaces, ci, k))
+    for ci, start in m.tails.items():
+        cands.extend(_tail_window(t, ci, start))
     return cands
 
 
@@ -128,13 +137,10 @@ class TailIsometry:
 
     def window_basis(self):
         """Finite witness basis of the tail subspace: its extra directions
-        plus the leading coordinate vectors of each tail."""
+        plus its tail windows."""
         vecs = list(self.h2.onb())
-        bound = max(corner_sizes(self.t, pad=1))
-        wmax = _max_bandwidth(self.t)
-        for ci, start in sorted((self.h2.tails or {}).items()):
-            for k in range(start, max(bound, start) + wmax + 1):
-                vecs.append(VectorExpr.basis(self.t.spaces, ci, k))
+        for ci, start in sorted(self.h2.tails.items()):
+            vecs.extend(_tail_window(self.t, ci, start))
         return vecs
 
     def to_json(self):
@@ -361,14 +367,8 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
         cnt = st.count_below(Fraction(s_q.m_e).limit_denominator(10 ** 9)
                              if m_e2_exact is None else m_e2_exact)
         if isinstance(cnt, int):
-            found = 0
-            k = st.start
-            while found < cnt:
-                v = st.fn.eval(k)
-                if float(v) < s_q.m_e:
-                    deltas.append((float(v), v))
-                    found += 1
-                k += 1
+            run = [st.fn.eval(k) for k in range(st.start, st.start + cnt)]
+            deltas.extend((float(v), v) for v in run)
     deltas = _distinct_values(deltas)
     delta_spectrum = [math.sqrt(max(v, 0.0)) for v, _ in deltas]
 
@@ -401,14 +401,8 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
         if comp.dim() is None:
             notes.append("tail complement is infinite; block data omitted")
         else:
-            final = []
-            for v in list(below_vecs) + list(comp.vectors):
-                w = v
-                for u in h1_vecs + final:
-                    w = w - u.scaled(w.inner(u) / u.norm2())
-                if not w.is_zero() and w.norm_float() > 1e-12 * max(1.0, v.norm_float()):
-                    final.append(w)
-            h3 = Subspace.span(t.spaces, final)
+            h3 = Subspace.span(t.spaces, orthogonalize(
+                below_vecs + list(comp.vectors), h1_vecs))
 
     s_star_a_norm = 0.0
     s_star_exact_zero = True
@@ -828,8 +822,6 @@ def compress_to_complement(t, kernel):
         new_spaces.append(L2)
     new_spaces = tuple(new_spaces)
     blocks = {}
-    bound = max(corner_sizes(t, pad=1)) + 2
-    wmax = _max_bandwidth(t)
     t_star = adjoint(t)
     # extras x extras
     if extras:
@@ -875,14 +867,11 @@ def compress_to_complement(t, kernel):
         for cj in tail_comps:
             if cj == ci:
                 continue
-            sj = tails[cj]
             entries = {}
-            for k in range(sj, bound + wmax + 2):
-                e = VectorExpr.basis(t.spaces, cj, k)
-                te = apply(t, e)
-                for r, v in te.data[ci].items():
+            for k, e in enumerate(_tail_window(t, cj, tails[cj])):
+                for r, v in apply(t, e).data[ci].items():
                     if r >= start:
-                        entries[(r - start, k - sj)] = v
+                        entries[(r - start, k)] = v
             if entries:
                 blocks[(tail_pos[ci], tail_pos[cj])] = FiniteRankBlock(entries)
     return OperatorExpr(new_spaces, blocks)

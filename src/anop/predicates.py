@@ -585,7 +585,7 @@ def an_check(t, tol=1e-10, trunc=256):
                                           "rule": "essential spectrum has at least "
                                                   "two points"},
                                 tolerances={"tol": tol})
-    cnt = count_spectrum_in(s, s.m, s.m_e)
+    cnt = count_spectrum_in(s, s.m, s.m_e if s.m_e_exact is None else s.m_e_exact)
     if cnt == "infinite":
         return PredicateVerdict("an", REFUTED,
                                 evidence={**evidence,

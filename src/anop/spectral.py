@@ -280,7 +280,8 @@ class EigStream:
         return self.fn.monotone_from(self.start)
 
     def count_below(self, bound):
-        """#{k >= start: fn(k) < bound}; int, 'infinite' or 'unknown'."""
+        """#{k >= start: fn(k) < bound}; int, 'infinite' or 'unknown'. A
+        count n means the values below the bound are those at start..start+n-1."""
         bound = Fraction(bound)
         runs = self.fn.sub_const(bound).runs_from(self.start)
         if len(runs) == 1:
@@ -324,6 +325,7 @@ class SpectralSummary:
         self._corner = None
         self._corner_sizes = None
         self._corner_pairs = None
+        self._window = None
         self._exact_eigs = {}
         self._path = None
 
@@ -493,40 +495,26 @@ def _structured_summary(s, classes, trunc):
             v = st.value(k)
             s.discrete.append(DiscreteEig(float(v), 1, v, source="stream"))
     s.discrete.sort(key=lambda d: -d.value)
-    # norm / m / m_e (corner extremes come from the refined entry list so
-    # exactly verified eigenvalues are not blurred by float residue)
-    corner_vals = [val for val, mult, _ in entries if mult > 0]
-    highs = [max(corner_vals)] if corner_vals else []
-    lows = [min(corner_vals)] if corner_vals else []
-    highs += [vf for vf, _ in c0_vals]
-    lows += [vf for vf, _ in c0_vals]
+    # norm / m / m_e from (float, exact or None) candidates: the refined
+    # corner entries, the tail constants and the exact stream extremes
+    highs = [(val, lam) for val, _, lam in entries] + c0_vals
+    lows = [val for val, _ in highs]
     for st in s.streams:
         st_lo, st_hi = st.fn.extremes_from(st.start)
-        highs.append(float(st_hi))
+        highs.append((float(st_hi), st_hi))
         lows.append(float(st_lo))
-    s.norm = max(highs, default=0.0)
+    s.norm = max((val for val, _ in highs), default=0.0)
     s.m = max(min(lows, default=0.0), 0.0)
     s.m_e = min(ess_points(s.ess), default=0.0)
-    # exact labels when available
-    s.norm_exact = _match_exact(s, s.norm)
-    s.m_e_exact = _match_exact(s, s.m_e)
+    # exact labels come from exact data only: the largest exact candidate
+    # when it attains the norm, the least essential point when all are exact
+    top = max((lam for _, lam in highs if lam is not None), default=None)
+    s.norm_exact = top if top is not None and float(top) == s.norm else None
+    if s.ess and all(p[1].is_exact for p in s.ess):
+        s.m_e_exact = min(Fraction(p[1].re) for p in s.ess)
     all_pairs_exact = pairs and sum(len(k) for k in exact_values.values()) == len(pairs)
     s.tier = "exact" if (exact_corner and not s.streams and
                          (not pairs or all_pairs_exact)) else "numerical"
-
-
-def _match_exact(s, val):
-    for lam in s._exact_eigs or {}:
-        if abs(float(lam) - val) <= 1e-9 * max(1.0, abs(val)):
-            return lam
-    for c in s.c0s.values():
-        if c.is_exact and abs(float(c.re) - val) <= 1e-9 * max(1.0, abs(val)):
-            return Fraction(c.re)
-    for st in s.streams:
-        lim = st.limit()
-        if abs(float(lim) - val) <= 1e-9 * max(1.0, abs(val)):
-            return lim
-    return None
 
 
 def _symbolic_summary(s, classes, trunc):
@@ -541,7 +529,7 @@ def _symbolic_summary(s, classes, trunc):
             s.c0s[i] = piece[1]
         pieces.append(piece)
     s.ess = _merge_pieces(pieces, tol)
-    n1 = max(trunc, max(sizes) + 8)
+    n1 = s._window = max(trunc, max(sizes) + 8)
     t1 = truncate(p, n1)
     w1 = np.linalg.eigvalsh(t1.matrix)
     if w1.size and w1[0] < -max(tol, 1e-12) * max(1.0, abs(w1[-1])):
@@ -592,8 +580,7 @@ def summary_eigenspace(s, value, tol=None):
         (float(value.re) if isinstance(value, Scalar) else float(value))
     if s._path != "structured":
         if s._corner_pairs is None:
-            n1 = max(256, max(s._corner_sizes) + 8)
-            t1 = truncate(p, n1)
+            t1 = truncate(p, s._window)
             s._corner_pairs = sym_eigen(t1.matrix, max(tol, 1e-12))
             s._labels = t1.labels
         return Subspace.span(p.spaces,
@@ -748,7 +735,7 @@ def positive_an_diagonalize(p, tol=1e-10, trunc=256, max_stream=64):
     pts = [pc for pc in s.ess]
     if len(pts) != 1 or pts[0][0] != "point":
         raise NotAN("essential spectrum is not a single point")
-    cnt = count_spectrum_in(s, s.m, s.m_e)
+    cnt = count_spectrum_in(s, s.m, s.m_e if s.m_e_exact is None else s.m_e_exact)
     if cnt == "infinite":
         raise NotAN("infinitely many spectrum points below the essential minimum")
     pairs = []

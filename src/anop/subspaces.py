@@ -10,20 +10,27 @@ from .vectors import VectorExpr
 ZERO_KIND, FULL, SPAN, COFINITE = "zero", "full", "span", "cofinite"
 
 
-def orthogonalize(vectors):
-    """Orthogonal (unnormalized) family spanning the same space; exact when
-    the inputs are exact. Exact residuals are dropped when zero, float ones
-    when at most 1e-12 * max(1, ||v||)."""
+def orthogonalize(vectors, basis=()):
+    """Orthogonal (unnormalized) family that, together with the orthogonal
+    prefix `basis`, spans basis + vectors; the prefix is neither returned
+    nor altered. Each vector keeps its residual against the prefix and the
+    earlier outputs, exact when the inputs are exact. A residual is dropped
+    when it is exactly zero if every input, prefix included, is exact, and
+    otherwise when its float norm is at most 1e-12 * max(1, ||v||)."""
     vecs = [v for v in vectors if not v.is_zero()]
-    exact = all(v.is_exact() for v in vecs)
+    exact = all(v.is_exact() for v in vecs + list(basis))
+    done = [(u, u.norm2()) for u in basis]
     out = []
     for v in vecs:
         w = v
-        for u in out:
-            w = w + u.scaled(Scalar.of(-1) * (w.inner(u) / u.norm2()))
+        for u, n2 in done:
+            coef = w.inner(u) / n2
+            if not coef.is_zero():
+                w = w + u.scaled(Scalar.of(-1) * coef)
         if (not w.is_zero() if exact
                 else w.norm_float() > 1e-12 * max(1.0, v.norm_float())):
             out.append(w)
+            done.append((w, w.norm2()))
     return out
 
 

@@ -6,12 +6,14 @@ import os
 import sys
 import threading
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 from anop.cli import main
-from anop.gallery import example2, nilpotent_pair
+from anop.gallery import diag_operator, example2, nilpotent_pair
 from anop.operators import adjoint
+from anop.ratfn import RationalFn
 from anop.serialize import serialize
 
 
@@ -105,6 +107,15 @@ def test_decompose_theorem_form_exit_zero(tmp_path):
 def test_decompose_refuted_exit_four(tmp_path):
     p = tmp_path / "nil.json"
     p.write_text(serialize(nilpotent_pair()))
+    code, _ = run_cli(["decompose", str(p), "--samples", "200"])
+    assert code == 4
+
+
+def test_decompose_not_an_below_exact_m_e_exit_four(tmp_path):
+    a, b = Fraction(25001, 25000), Fraction(1, 650859370833500)
+    p = tmp_path / "below.json"
+    p.write_text(serialize(diag_operator([], limit=a,
+                                         rule=RationalFn([a - b, a], [1, 1]))))
     code, _ = run_cli(["decompose", str(p), "--samples", "200"])
     assert code == 4
 

@@ -125,6 +125,26 @@ def test_peel_certificate_projectors_consistent():
     assert cert.reconstruction_residual <= 1e-8
 
 
+@given(st.integers(1, 40))
+def test_peel_h1_and_h3_split_the_tail_complement_exactly(seed):
+    t, _ = random_theorem_form(seed)
+    cert = peel_decompose(t, samples=200, seed=seed)
+    family = [u for lvl in cert.peeled for u in lvl.space.vectors]
+    family += list(cert.h3.vectors)
+    assert all(u.is_exact() for u in family)
+    for i, u in enumerate(family):
+        assert all(u.inner(w).is_zero() for w in family[i + 1:])
+    # H1 (+) H3 is the orthogonal complement of H2, exactly
+    comp = cert.h2.complement()
+    assert comp.dim() == len(family)
+    for c in comp.vectors:
+        r = c
+        for u in family:
+            r = r - u.scaled(c.inner(u) / u.norm2())
+        assert r.is_zero()
+    assert cert.s_star_a_exact_zero
+
+
 def test_peel_refuses_non_star_paranormal():
     with pytest.raises(StarParanormalRefuted):
         peel_decompose(nilpotent_pair(), samples=200)

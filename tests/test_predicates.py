@@ -195,3 +195,22 @@ def test_mstar_orthogonal_to_kernels():
     # N(T*) = span e0; the M* tail starts past it
     e0 = VectorExpr.basis(t.spaces, 0, 0)
     assert mstar.project(e0).is_zero()
+
+
+def test_an_check_counts_below_the_exact_essential_minimum():
+    # every entry of T*T lies below m_e^2 = a^2, though a float bound
+    # 1e-17 below a^2 cuts the count off after 298 entries
+    a, b = Fraction(25001, 25000), Fraction(1, 650859370833500)
+    v = an_check(diag_operator([], limit=a, rule=RationalFn([a - b, a], [1, 1])))
+    assert v.status == "Refuted"
+    assert v.evidence["rule"].startswith("infinitely many spectrum points")
+
+
+def test_norm_attaining_labels_the_norm_from_exact_data():
+    # the corner entry squared is within 1e-9 of ||T||^2 = 4, which only
+    # the increasing tail approaches
+    t = diag_operator([Fraction(19999999999, 10 ** 10)], limit=2,
+                      rule=RationalFn([1, 2], [1, 1]))
+    v = norm_attaining_check(t)
+    assert v.status == "Numerical" and v.evidence["attaining"] is False
+    assert v.evidence["norm2"] == 4.0

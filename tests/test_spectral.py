@@ -137,6 +137,18 @@ def test_positive_summary_prefix_diagonal():
     assert count_spectrum_in(s, s.m, s.m_e) == 0
 
 
+def test_summary_eigenspace_truncates_at_the_summary_window(monkeypatch):
+    import anop.spectral as spectral
+    sizes = []
+    real = spectral.truncate
+    monkeypatch.setattr(spectral, "truncate",
+                        lambda op, n: sizes.append(n) or real(op, n))
+    p = jacobi_operator(diag=DiagonalSeq([5], 2), offdiag=DiagonalSeq(limit=1))
+    s = positive_spectral_summary(p, trunc=64)
+    summary_eigenspace(s, s.norm)
+    assert sizes == [64, 32, 64]
+
+
 def test_positive_summary_example1_tstart():
     q = multiply(adjoint(example1()), example1())
     s = positive_spectral_summary(q)

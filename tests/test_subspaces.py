@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from anop.operators import L2, finite
 from anop.scalars import Scalar
-from anop.subspaces import Subspace
+from anop.subspaces import Subspace, orthogonalize
 from anop.vectors import VectorExpr
 
 SHAPE = (L2, finite(2))
@@ -12,6 +12,24 @@ def v(l2_part, fin_part=()):
     data = [{k: Scalar.exact(x) for k, x in l2_part},
             {k: Scalar.exact(x) for k, x in enumerate(fin_part) if x}]
     return VectorExpr(SHAPE, data)
+
+
+def test_orthogonalize_against_a_prefix():
+    prefix = [v([(0, 1)]), v([(1, 2)])]
+    before = [p.to_json() for p in prefix]
+    out = orthogonalize([v([(0, 1), (2, 3)]), v([(1, 5)]), v([], (1,))], prefix)
+    # the prefix is neither returned nor altered; e1 adds nothing new
+    assert [w.to_json() for w in out] == [v([(2, 3)]).to_json(), v([], (1,)).to_json()]
+    assert [p.to_json() for p in prefix] == before
+
+
+def test_orthogonalize_drops_only_zero_exact_residuals():
+    tiny = Fraction(1, 10 ** 13)
+    out = orthogonalize([v([(0, 1), (1, tiny)])], [v([(0, 1)])])
+    assert [w.to_json() for w in out] == [v([(1, tiny)]).to_json()]
+    # the same residual in floats is within the 1e-12 drop rule
+    flt = VectorExpr(SHAPE, [{0: Scalar.inexact(1.0), 1: Scalar.inexact(1e-13)}, {}])
+    assert orthogonalize([flt], [v([(0, 1)])]) == []
 
 
 def test_span_orthogonalizes_and_projects():
