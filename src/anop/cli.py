@@ -16,6 +16,7 @@ inputs produce byte-identical JSON.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -218,7 +219,10 @@ def cmd_gallery(args):
     return 0
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built once per process; parsing leaves it as it
+    was, so every call of main shares it."""
     parser = _Parser(prog="anop",
                      description="operator predicates, spectra, decompositions")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -255,8 +259,11 @@ def main(argv=None):
     p.add_argument("--params", default=None,
                    help="JSON keyword arguments for parametric builders")
     p.set_defaults(func=cmd_gallery)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -5,12 +5,15 @@ eigenvalue verification, inverses and PSD decisions with witnesses; float
 work lives in the jacobi module instead.
 
 Kernels, ranks and inverses of exact matrices come from one elimination core
-that works on Python int pairs, the Gaussian integers Z[i], and never builds
-a Fraction until it reads its answer off:
+that works on Python int pairs, the Gaussian integers Z[i], and builds no
+Fraction: it reads the int fields of exact Scalars and writes its answer
+into them.
 
-- Each row is scaled by the lcm of the denominators of its entries. Scaling
-  rows by nonzero constants leaves the reduced row echelon form unchanged,
-  and with it the kernel, the rank and the inverse (read off [A | I]).
+- Each row is scaled by the lcm of its entries' denominators. An exact
+  Scalar keeps one denominator for both parts, so this is the lcm of those
+  single denominators. Scaling rows by nonzero constants leaves the reduced
+  row echelon form unchanged, and with it the kernel, the rank and the
+  inverse (read off [A | I]).
 - Screen (kernels only). The integer rows are reduced mod p = 2**61 - 1.
   Since p = 3 (mod 4), -1 is not a square mod p, so Z[i]/(p) is the field
   F_{p^2} and elimination there computes a rank. Reduction mod p is a ring
@@ -29,7 +32,7 @@ a Fraction until it reads its answer off:
   The reduced row echelon form is the result divided by the last pivot.
 
 The reduced row echelon form of a matrix is unique, so the basis and the
-inverse read off it are the same Fractions the reference `_rref` gives.
+inverse read off it are the same exact Scalars the reference `_rref` gives.
 A matrix with any inexact (float) entry, as `Subspace.complement` and
 `Subspace.intersect` may pass on float operators, goes through `_rref` on
 Scalars instead.
@@ -38,7 +41,7 @@ Scalars instead.
 import math
 from fractions import Fraction
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, _reduced
 
 # the screen's prime, 3 mod 4 so that Z[i]/(p) is a field
 _P = 2 ** 61 - 1
@@ -110,14 +113,13 @@ def _rref(m, ncols):
 
 
 def _gaussian_rows(m):
-    """Each row of an exact matrix times the lcm of its denominators, as
-    (re, im) int pairs."""
+    """Each row of an exact matrix times the lcm of its entries' denominators,
+    as (re, im) int pairs."""
     out = []
     for row in m:
-        den = math.lcm(*[s.re.denominator for s in row],
-                       *[s.im.denominator for s in row])
-        out.append([(s.re.numerator * (den // s.re.denominator),
-                     s.im.numerator * (den // s.im.denominator)) for s in row])
+        den = math.lcm(*[s.denom for s in row])
+        out.append([(s.re_num * (den // s.denom), s.im_num * (den // s.denom))
+                    for s in row])
     return out
 
 
@@ -203,8 +205,9 @@ def _row_reduce(m, ncols, screen=False):
     nq = qa * qa + qb * qb
 
     def entry(r, c):
+        # (a + i b)/(qa + i qb) = (a + i b)(qa - i qb)/nq, in lowest terms
         a, b = rows[r][c]
-        return Scalar(Fraction(a * qa + b * qb, nq), Fraction(b * qa - a * qb, nq), True)
+        return _reduced(a * qa + b * qb, b * qa - a * qb, nq)
     return piv, entry
 
 
@@ -260,9 +263,10 @@ def psd_decide(m):
         d = a[p][p]
         if not d.is_real():
             raise ValueError("matrix is not Hermitian")
-        if d.re < 0:
+        # the sign of a real exact scalar is the sign of its numerator
+        if d.re_num < 0:
             return False, _pullback(w, _unit(n, p))
-        if d.re == 0:
+        if d.re_num == 0:
             for q in range(n):
                 if q == p or q in processed:
                     continue
@@ -299,8 +303,8 @@ def _zero_diag_witness(a, n, p, q):
     aqq = a[q][q]
     # x = e_p + t e_q with t = -s * conj(apq): form = -2 s |apq|^2 + s^2 |apq|^2 aqq
     s = Fraction(1)
-    if aqq.re > 0:
-        s = min(Fraction(1), Fraction(1) / Fraction(aqq.re))
+    if aqq.re_num > 0:
+        s = min(s, Fraction(aqq.denom, aqq.re_num))
     t = apq.conj() * Scalar.exact(-s)
     v = [ZERO] * n
     v[p] = ONE

@@ -1,37 +1,68 @@
-"""Complex scalars that are either exact (rational parts) or floating.
+"""Complex scalars that are either exact (Gaussian rationals) or floating.
 
 Arithmetic between two exact scalars stays exact; any floating operand
 makes the result floating. Equality between exact scalars is decidable,
 floating comparisons elsewhere always go through an explicit tolerance.
+
+An exact scalar is stored in lowest terms as (re_num + i*im_num)/denom with
+Python ints, denom > 0 and gcd(re_num, im_num, denom) = 1; zero is (0, 0, 1).
+The form is canonical, so exact equality compares the three fields, and
+every exact operation runs on ints with one gcd. Fractions are built only
+where a caller reads `.re` or `.im`. An exact part converts to a float as the
+int true division re_num / denom, which is correctly rounded, as
+`Fraction.__float__` is, and raises OverflowError when the part is too large
+for a float. A floating scalar keeps its two float parts in re_num and
+im_num, with denom None.
+
+The fields and the positional constructor Scalar(re_num, im_num, denom) are
+private to this module and `exactla`; everything else goes through
+`Scalar.exact`, `Scalar.inexact`, `Scalar.of` and `.re`/`.im`.
 """
 
 import math
 from fractions import Fraction
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(x):
+    """(numerator, denominator) of an int or Fraction, in lowest terms."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"exact part must be int or Fraction, got {type(x).__name__}")
 
 
-class Scalar:
-    __slots__ = ("re", "im", "is_exact")
+def _reduced(n, m, d):
+    """The exact Scalar (n + i m)/d for ints with d > 0."""
+    g = math.gcd(n, m, d)
+    if g != 1:
+        return Scalar(n // g, m // g, d // g)
+    return Scalar(n, m, d)
 
-    def __init__(self, re, im, is_exact):
-        self.re = re
-        self.im = im
-        self.is_exact = is_exact
+
+class Scalar:
+    __slots__ = ("re_num", "im_num", "denom", "is_exact")
+
+    def __init__(self, re_num, im_num, denom):
+        self.re_num = re_num
+        self.im_num = im_num
+        self.denom = denom
+        self.is_exact = denom is not None
 
     @classmethod
     def exact(cls, re, im=0):
-        return cls(_frac(re), _frac(im), True)
+        rn, rd = _ratio(re)
+        if type(im) is int:
+            return cls(rn, im * rd, rd)
+        inum, idn = _ratio(im)
+        # lowest terms already: the highest power of a prime dividing the
+        # lcm divides one of the denominators, whose numerator is prime to it
+        if rd == idn:
+            return cls(rn, inum, rd)
+        d = math.lcm(rd, idn)
+        return cls(rn * (d // rd), inum * (d // idn), d)
 
     @classmethod
     def inexact(cls, re, im=0.0):
-        return cls(float(re), float(im), False)
+        return cls(float(re), float(im), None)
 
     @classmethod
     def of(cls, value):
@@ -46,24 +77,47 @@ class Scalar:
             return cls.inexact(value.real, value.imag)
         raise TypeError(f"cannot coerce {type(value).__name__} to Scalar")
 
+    # -- parts --------------------------------------------------------------
+
+    @property
+    def re(self):
+        """The real part: a Fraction when exact, else a float."""
+        if self.denom is None:
+            return self.re_num
+        return Fraction(self.re_num, self.denom)
+
+    @property
+    def im(self):
+        """The imaginary part: a Fraction when exact, else a float."""
+        if self.denom is None:
+            return self.im_num
+        return Fraction(self.im_num, self.denom)
+
+    def _floats(self):
+        """(float(re), float(im)), correctly rounded for exact parts."""
+        d = self.denom
+        if d is None:
+            return self.re_num, self.im_num
+        return self.re_num / d, self.im_num / d
+
     # -- arithmetic ---------------------------------------------------------
 
-    def _pair(self, other):
-        other = Scalar.of(other)
-        if self.is_exact and other.is_exact:
-            return other, True
-        return other, False
-
     def __add__(self, other):
-        o, ex = self._pair(other)
-        if ex:
-            return Scalar(self.re + o.re, self.im + o.im, True)
-        return Scalar(float(self.re) + float(o.re), float(self.im) + float(o.im), False)
+        o = other if type(other) is Scalar else Scalar.of(other)
+        d, e = self.denom, o.denom
+        if d is not None and e is not None:
+            if d == e:
+                return _reduced(self.re_num + o.re_num, self.im_num + o.im_num, d)
+            return _reduced(self.re_num * e + o.re_num * d,
+                            self.im_num * e + o.im_num * d, d * e)
+        a, b = self._floats()
+        c, f = o._floats()
+        return Scalar(a + c, b + f, None)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im, self.is_exact)
+        return Scalar(-self.re_num, -self.im_num, self.denom)
 
     def __sub__(self, other):
         return self + (-Scalar.of(other))
@@ -72,42 +126,47 @@ class Scalar:
         return Scalar.of(other) + (-self)
 
     def __mul__(self, other):
-        o, ex = self._pair(other)
-        if ex:
-            return Scalar(self.re * o.re - self.im * o.im,
-                          self.re * o.im + self.im * o.re, True)
-        a, b = float(self.re), float(self.im)
-        c, d = float(o.re), float(o.im)
-        return Scalar(a * c - b * d, a * d + b * c, False)
+        o = other if type(other) is Scalar else Scalar.of(other)
+        d, e = self.denom, o.denom
+        if d is not None and e is not None:
+            a, b, c, f = self.re_num, self.im_num, o.re_num, o.im_num
+            return _reduced(a * c - b * f, a * f + b * c, d * e)
+        a, b = self._floats()
+        c, f = o._floats()
+        return Scalar(a * c - b * f, a * f + b * c, None)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o, ex = self._pair(other)
-        if ex:
-            den = o.re * o.re + o.im * o.im
-            if den == 0:
+        o = other if type(other) is Scalar else Scalar.of(other)
+        d, e = self.denom, o.denom
+        if d is not None and e is not None:
+            a, b, c, f = self.re_num, self.im_num, o.re_num, o.im_num
+            # (a + ib)/d divided by (c + if)/e is (a + ib)(c - if) e / (d (c^2 + f^2))
+            nrm = c * c + f * f
+            if not nrm:
                 raise ZeroDivisionError("Scalar division by zero")
-            return Scalar((self.re * o.re + self.im * o.im) / den,
-                          (self.im * o.re - self.re * o.im) / den, True)
+            return _reduced((a * c + b * f) * e, (b * c - a * f) * e, d * nrm)
         z = complex(self) / complex(o)
-        return Scalar(z.real, z.imag, False)
+        return Scalar(z.real, z.imag, None)
 
     def conj(self):
-        return Scalar(self.re, -self.im, self.is_exact)
+        return Scalar(self.re_num, -self.im_num, self.denom)
 
     def abs2(self):
         """|z|^2, same exactness kind as z (real Scalar)."""
-        return Scalar(self.re * self.re + self.im * self.im, 0 if self.is_exact else 0.0,
-                      self.is_exact)
+        a, b, d = self.re_num, self.im_num, self.denom
+        if d is None:
+            return Scalar(a * a + b * b, 0.0, None)
+        return _reduced(a * a + b * b, 0, d * d)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return self.re_num == 0 and self.im_num == 0
 
     def is_real(self):
-        return self.im == 0
+        return self.im_num == 0
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -115,16 +174,18 @@ class Scalar:
                 other = Scalar.of(other)
             except TypeError:
                 return NotImplemented
+        if self.is_exact and other.is_exact:
+            return (self.re_num == other.re_num and self.im_num == other.im_num
+                    and self.denom == other.denom)
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((Fraction(self.re) if self.is_exact else self.re,
-                     Fraction(self.im) if self.is_exact else self.im))
+        return hash((self.re, self.im))
 
     # -- conversions --------------------------------------------------------
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(*self._floats())
 
     def __abs__(self):
         return abs(complex(self))
@@ -143,10 +204,9 @@ ONE = Scalar.exact(1)
 def exact_sqrt(x):
     """Square root of a nonnegative rational as (Fraction, True) if perfect,
     else (float, False)."""
-    x = _frac(x)
-    if x < 0:
+    pn, pd = _ratio(x)
+    if pn < 0:
         raise ValueError("negative input")
-    pn, pd = x.numerator, x.denominator
     rn, rd = math.isqrt(pn), math.isqrt(pd)
     if rn * rn == pn and rd * rd == pd:
         return Fraction(rn, rd), True

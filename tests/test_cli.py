@@ -286,6 +286,27 @@ def test_usage_error_exit_64():
     assert exc.value.code == 64
 
 
+def test_parser_built_once_per_process(shift_file, capsys):
+    from anop import cli
+    cli._parser.cache_clear()
+    report = ["check", shift_file, "--predicate", "normal", "--json"]
+    bogus = ["check", shift_file, "--predicate", "bogus"]
+    first = run_cli(report)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(bogus)
+        assert exc.value.code == 64
+        errors.append(capsys.readouterr().err)
+        assert run_cli(report) == first
+    assert cli._parser.cache_info().misses == 1
+    # a parser built afresh gives the same usage error
+    with pytest.raises(SystemExit):
+        cli._parser.__wrapped__().parse_args(bogus)
+    assert errors == [capsys.readouterr().err] * 2
+    assert "invalid choice: 'bogus'" in errors[0]
+
+
 def test_reports_byte_identical(shift_file):
     argv = ["check", shift_file, "--predicate", "star-paranormal",
             "--samples", "300", "--json"]

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from anop.errors import BadParams
 from anop.ratfn import (RationalFn, _extremes, poly, poly_add, poly_compose_shift,
@@ -43,6 +43,167 @@ def test_exact_sqrt():
     r, perfect = exact_sqrt(Fraction(2))
     assert not perfect and abs(r - math.sqrt(2)) < 1e-15
     assert scalar_sqrt(Scalar.exact(4)).is_exact
+
+
+# -- the scalar layer against a pair of Fractions -------------------------
+
+_SMALL_PART = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+_HUGE_INT = st.builds(lambda n, sign: sign * n, st.integers(10 ** 199, 10 ** 200 - 1),
+                      st.sampled_from((1, -1)))
+# zero, small and 200-digit parts, over small and 200-digit denominators
+_PART = st.one_of(st.just(Fraction(0)), _SMALL_PART,
+                  st.builds(Fraction, _HUGE_INT, st.integers(1, 7)),
+                  st.builds(Fraction, st.integers(-9, 9), _HUGE_INT.map(abs)),
+                  st.builds(Fraction, _HUGE_INT, _HUGE_INT))
+# general, real-only and pure-imaginary (re, im) pairs
+_PAIR = st.one_of(st.tuples(_PART, _PART),
+                  st.tuples(_PART, st.just(Fraction(0))),
+                  st.tuples(st.just(Fraction(0)), _PART))
+_FLOAT = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+def _value(s):
+    """(re, im) of an exact Scalar, with the canonical form checked."""
+    n, m, d = s.re_num, s.im_num, s.denom
+    assert s.is_exact and d > 0 and math.gcd(n, m, d) == 1
+    assert (n, m) != (0, 0) or d == 1
+    assert type(s.re) is Fraction and type(s.im) is Fraction
+    return s.re, s.im
+
+
+def _bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+def _complex_or_overflow(re, im):
+    try:
+        return _bits(complex(float(re), float(im)))
+    except OverflowError:
+        return OverflowError
+
+
+@given(_PAIR, _PAIR)
+# sums, differences and products that need reducing, over equal and unequal
+# denominators
+@example((Fraction(1, 6), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 2)))
+@example((Fraction(2, 3), 0), (Fraction(3, 2), 0))
+def test_exact_scalar_ops_match_fraction_pairs(x, y):
+    (a, b), (c, d) = x, y
+    sx, sy = Scalar.exact(a, b), Scalar.exact(c, d)
+    assert _value(sx) == x and _value(sy) == y
+    assert _value(sx + sy) == (a + c, b + d)
+    assert _value(sx - sy) == (a - c, b - d)
+    assert _value(sx * sy) == (a * c - b * d, a * d + b * c)
+    assert _value(-sx) == (-a, -b)
+    assert _value(sx.conj()) == (a, -b)
+    assert _value(sx.abs2()) == (a * a + b * b, 0)
+    if (c, d) == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            sx / sy
+    else:
+        nrm = c * c + d * d
+        assert _value(sx / sy) == ((a * c + b * d) / nrm, (b * c - a * d) / nrm)
+    assert (sx == sy) == (x == y)
+    assert sx == Scalar.exact(a, b) and hash(sx) == hash(x)
+    assert sx.is_zero() == (x == (0, 0)) and sx.is_real() == (b == 0)
+
+
+@given(_PAIR, st.integers(-9, 9))
+def test_exact_scalar_ops_with_python_ints(x, k):
+    a, b = x
+    sx = Scalar.exact(a, b)
+    assert _value(Scalar.exact(a, k)) == (a, k) and _value(Scalar.exact(k, b)) == (k, b)
+    assert _value(sx + k) == _value(k + sx) == (a + k, b)
+    assert _value(sx - k) == (a - k, b) and _value(k - sx) == (k - a, -b)
+    assert _value(sx * k) == _value(k * sx) == (a * k, b * k)
+    assert (sx == k) == (x == (k, 0))
+    if k == 0:
+        with pytest.raises(ZeroDivisionError):
+            sx / k
+    else:
+        assert _value(sx / k) == (a / k, b / k)
+
+
+_HUGE_PART = st.builds(Fraction, st.integers(-10 ** 400, 10 ** 400),
+                       st.integers(1, 10 ** 90))
+
+
+@given(st.one_of(_PAIR, st.tuples(_HUGE_PART, _HUGE_PART)))
+def test_complex_of_exact_scalar_is_correctly_rounded(x):
+    """complex(s) is bit for bit complex(float(re), float(im)), and raises
+    OverflowError exactly when one of those floats does."""
+    s = Scalar.exact(*x)
+    expected = _complex_or_overflow(*x)
+    if expected is OverflowError:
+        with pytest.raises(OverflowError):
+            complex(s)
+    else:
+        assert _bits(complex(s)) == expected
+
+
+@given(_PAIR, _FLOAT, _FLOAT)
+def test_mixed_exact_float_ops_keep_float_formulas(x, u, v):
+    """An exact operand meets a float one through float(re), float(im) and
+    the same float formulas as a float pair."""
+    a, b = float(x[0]), float(x[1])
+    sx, fy = Scalar.exact(*x), Scalar.inexact(u, v)
+
+    def parts(s):
+        assert not s.is_exact and type(s.re) is float and type(s.im) is float
+        return _bits(complex(s.re, s.im))
+
+    assert parts(sx + fy) == parts(fy + sx) == _bits(complex(a + u, b + v))
+    assert parts(sx - fy) == _bits(complex(a - u, b - v))
+    assert parts(fy - sx) == _bits(complex(u - a, v - b))
+    assert parts(sx * fy) == parts(fy * sx) == _bits(complex(a * u - b * v, a * v + b * u))
+    if (u, v) != (0, 0):
+        assert parts(sx / fy) == _bits(complex(a, b) / complex(u, v))
+    if x != (0, 0):
+        assert parts(fy / sx) == _bits(complex(u, v) / complex(a, b))
+    assert (sx == fy) == (x == (u, v))
+    assert hash(fy) == hash((u, v))
+
+
+def test_exact_scalar_zero_is_canonical():
+    zeros = [Scalar.exact(0), Scalar.exact(Fraction(0, 5), 0),
+             Scalar.exact(Fraction(1, 3)) - Scalar.exact(Fraction(1, 3)),
+             Scalar.exact(0, Fraction(2, 7)) * Scalar.exact(0),
+             Scalar.exact(Fraction(1, 3), 1).abs2() * 0]
+    assert {(z.re_num, z.im_num, z.denom) for z in zeros} == {(0, 0, 1)}
+    with pytest.raises(ZeroDivisionError):
+        Scalar.exact(1, 1) / zeros[2]
+    with pytest.raises(TypeError):
+        Scalar.exact(0.5)
+
+
+def test_scalar_fields_private_to_scalars_and_exactla():
+    """Only scalars.py and exactla.py build an exact Scalar from its int
+    fields or read them; every other module goes through Scalar.exact,
+    Scalar.inexact, Scalar.of and .re/.im."""
+    import ast
+    from pathlib import Path
+    import anop
+
+    fields = {"re_num", "im_num", "denom"}
+
+    def uses(source):
+        found = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and node.attr in fields:
+                found.append(f".{node.attr}")
+            elif isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == "Scalar"
+                    or getattr(node.func, "attr", None) == "Scalar"):
+                found.append("Scalar(...)")
+        return found
+
+    probe = "x = Scalar(1, 0, 1)\ny = scalars.Scalar.exact(x.denom)\nz = s.Scalar(0, 0, 1)\n"
+    assert sorted(uses(probe)) == [".denom", "Scalar(...)", "Scalar(...)"]
+    offenders = []
+    for path in sorted(Path(anop.__file__).parent.glob("*.py")):
+        if path.name not in ("scalars.py", "exactla.py"):
+            offenders.extend(f"{path.name}: {u}" for u in uses(path.read_text()))
+    assert offenders == []
 
 
 def test_power_term_entries_and_limit():
