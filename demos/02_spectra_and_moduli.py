@@ -23,7 +23,7 @@ print("ess(S + S*):", essential_spectrum(j))
 p = diag_operator([5, 3], limit=2)
 s = positive_spectral_summary(p)
 print("diag(5,3,2,2,...): ess", s.ess, "discrete",
-      [(d.value, d.mult) for d in s.discrete], "m", s.m, "m_e", s.m_e)
+      [(float(d.value), d.mult) for d in s.discrete], "m", s.m, "m_e", float(s.m_e))
 
 # its eigenpair expansion, with the structural clauses checked
 res = positive_an_diagonalize(p)

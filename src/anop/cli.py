@@ -26,9 +26,9 @@ from dataclasses import asdict, dataclass
 from numpy.linalg import LinAlgError
 
 from . import __version__
-from .errors import (AnopError, NotAN, NotSelfAdjoint, SchemaError,
+from .errors import (AnopError, BadParams, NotAN, NotSelfAdjoint, SchemaError,
                      StarParanormalRefuted, StructureViolation)
-from .serialize import load, operator_to_json_dict
+from .serialize import load, parse, serialize
 
 EXIT_PROVEN = 0
 EXIT_REFUTED = 1
@@ -207,15 +207,20 @@ def cmd_gallery(args):
     params = {}
     if args.scale is not None:
         params["scale"] = args.scale
-    if args.params:
-        params.update(json.loads(args.params))
     try:
-        t = build(args.name, **params)
+        if args.params:
+            extra = json.loads(args.params)
+            if not isinstance(extra, dict):
+                raise BadParams("--params must be a JSON object")
+            params.update(extra)
+        text = serialize(build(args.name, **params))
+        # parameters whose operator file the reader refuses (a NaN or
+        # out-of-range scale) are bad parameters too
+        parse(text)
     except AnopError as exc:
         print(f"anop: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(json.dumps(operator_to_json_dict(t), sort_keys=True,
-                     separators=(",", ":")))
+    print(text)
     return 0
 
 

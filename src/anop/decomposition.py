@@ -33,11 +33,10 @@ from .operators import (L2, OperatorExpr, adjoint, apply, corner_sizes,
 from .predicates import (NUMERICAL, PROVEN, REFUTED, PredicateVerdict,
                          _commutator, _jsonable, an_check, compute_M_and_Mstar,
                          is_normal, star_paranormal_check)
-from .scalars import Scalar, scalar_sqrt
-from .spectral import (_exact_sqrt_opt, _window_norm_bound,
-                       adjoint_modulus_summary, cogram, gram, kernel_dims,
-                       memoised, modulus_summary, shares_derived,
-                       summary_eigenspace)
+from .scalars import ONE, Scalar, scalar_sqrt
+from .spectral import (_window_norm_bound, adjoint_modulus_summary, cogram,
+                       gram, kernel_dims, memoised, modulus_summary,
+                       shares_derived, summary_eigenspace)
 from .subspaces import Subspace, orthogonalize
 from .vectors import VectorExpr
 
@@ -121,19 +120,17 @@ def reducing_check(t, m, tol=1e-10):
 
 @dataclass
 class TailIsometry:
-    """T restricted to the tail eigenspace, divided by the tail value; kept
-    as a restriction descriptor (subspace plus corner rows) rather than a
-    re-indexed operator."""
+    """T restricted to the tail eigenspace, divided by the tail value lam,
+    the square root of m_e2; kept as a restriction descriptor (subspace
+    plus corner rows) rather than a re-indexed operator."""
     t: OperatorExpr
     h2: Subspace
     lam: float
-    lam_exact: Fraction | None = None
+    m_e2: object                      # Fraction when exact, else float
 
     def apply_in(self, v):
         pv = self.h2.project(apply(self.t, v))
-        if self.lam_exact is not None:
-            return pv.scaled(Scalar.exact(Fraction(1) / self.lam_exact))
-        return pv.scaled(Scalar.inexact(1.0 / self.lam))
+        return pv.scaled(ONE / scalar_sqrt(Scalar.of(self.m_e2)))
 
     def window_basis(self):
         """Finite witness basis of the tail subspace: its extra directions
@@ -162,7 +159,6 @@ class PeeledLevel:
     """A scaled-unitary summand: above the tail value, or a reducing
     eigenspace below it."""
     value: float
-    value_exact: Fraction | None
     space: Subspace
     matrix: np.ndarray
     unitary_residual: float
@@ -185,7 +181,6 @@ class DecompositionCertificate:
     spaces: tuple
     peeled: list
     tail_value: float
-    tail_value_exact: Fraction | None
     h2: Subspace
     tail: TailIsometry | None
     a_cols: list                      # columns of P_{H2} T P_{H3} over the H3 basis
@@ -236,15 +231,12 @@ class DecompositionCertificate:
 
 # -- peeling -----------------------------------------------------------------------------
 
-def _collect_above(s_q, m_e2, max_peel):
+def _collect_above(s_q, max_peel):
     """Distinct squared values above the essential minimum, descending;
-    returns (values, truncated_flag). Values are (float, exact or None)."""
-    vals = []
-    for d in s_q.discrete:
-        if d.source != "corner":
-            continue
-        if d.value > m_e2 + 1e-12 * max(1.0, m_e2):
-            vals.append((d.value, d.exact))
+    returns (values, truncated_flag)."""
+    m_e2 = float(s_q.m_e)
+    vals = [d.value for d in s_q.discrete if d.source == "corner" and
+            float(d.value) > m_e2 + 1e-12 * max(1.0, m_e2)]
     truncated = False
     for st in s_q.streams:
         mono = st.fn.monotone_from(st.start)
@@ -254,7 +246,7 @@ def _collect_above(s_q, m_e2, max_peel):
             for k in range(st.start, st.start + max_peel):
                 v = st.fn.eval(k)
                 if float(v) > m_e2 + 1e-15:
-                    vals.append((float(v), v))
+                    vals.append(v)
             truncated = True
         # increasing streams approach the (singleton) essential point from
         # below and contribute nothing above it
@@ -266,14 +258,15 @@ def _collect_above(s_q, m_e2, max_peel):
 
 
 def _distinct_values(vals):
-    """(float, exact or None) pairs, one per value to 12 decimals with an
-    exact label kept where any copy has one, in descending order."""
+    """One value per float to 12 decimals, exact where any copy is, in
+    descending order."""
     dedup = {}
-    for vf, ve in vals:
-        key = round(vf, 12)
-        if key not in dedup or (dedup[key][1] is None and ve is not None):
-            dedup[key] = (vf, ve)
-    return sorted(dedup.values(), key=lambda p: -p[0])
+    for v in vals:
+        key = round(float(v), 12)
+        if key not in dedup or (isinstance(v, Fraction) and
+                                not isinstance(dedup[key], Fraction)):
+            dedup[key] = v
+    return sorted(dedup.values(), key=lambda v: -float(v))
 
 
 def _matrix_in(basis, images):
@@ -324,31 +317,28 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
     essential minimum, the isometric tail with its one-sided coupling, the
     finite complement block, and sub-tail unitary summands where they exist."""
     _require_hypotheses(t, tol, samples, seed, trunc)
-    s_q = modulus_summary(t, tol, trunc).base
+    msum = modulus_summary(t, tol, trunc)
+    s_q = msum.base
     s_qq = adjoint_modulus_summary(t, tol, trunc).base
     notes = []
-    norm = math.sqrt(max(s_q.norm, 0.0))
-    m_low = math.sqrt(max(s_q.m, 0.0))
-    m_e = math.sqrt(max(s_q.m_e, 0.0))
-    m_e2_exact = s_q.m_e_exact
+    m_e = msum.m_e
     exact_tier = t.is_exact_tier()
 
-    above, truncated = _collect_above(s_q, s_q.m_e, max_peel)
+    above, truncated = _collect_above(s_q, max_peel)
     peeled = []
-    for v2, v2_exact in above:
-        lvl, reason = _unitary_level(t, s_q, s_qq, v2, v2_exact, tol)
+    for v2 in above:
+        lvl, reason = _unitary_level(t, s_q, s_qq, v2, tol)
         if lvl is None:
             raise StructureViolation(reason)
         peeled.append(lvl)
 
     # tail (none without an essential spectrum: m_e then defaults to 0.0)
-    h2 = summary_eigenspace(s_qq, _val(s_q.m_e, m_e2_exact), tol) if s_q.ess \
+    h2 = summary_eigenspace(s_qq, s_q.m_e, tol) if s_q.ess \
         else Subspace.zero(t.spaces)
     tail = None
     iso_res = 0.0
     if not h2.is_zero():
-        lam_e_exact = _exact_sqrt_opt(m_e2_exact)
-        tail = TailIsometry(t, h2, m_e, lam_e_exact)
+        tail = TailIsometry(t, h2, m_e, s_q.m_e)
         inv = invariance_check(t, h2, tol)
         if inv.status == REFUTED:
             raise StructureViolation("tail eigenspace is not invariant")
@@ -358,32 +348,29 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
                 f"tail restriction is not an isometry (residual {iso_res:.3g})")
 
     # delta spectrum in [m, m_e)
-    deltas = []
-    eps = 1e-12 * max(1.0, s_q.m_e)
-    for d in s_q.discrete:
-        if d.source == "corner" and d.value < s_q.m_e - eps:
-            deltas.append((d.value, d.exact))
+    m_e2 = float(s_q.m_e)
+    eps = 1e-12 * max(1.0, m_e2)
+    deltas = [d.value for d in s_q.discrete
+              if d.source == "corner" and float(d.value) < m_e2 - eps]
     for st in s_q.streams:
-        cnt = st.count_below(Fraction(s_q.m_e).limit_denominator(10 ** 9)
-                             if m_e2_exact is None else m_e2_exact)
+        cnt = st.count_below(s_q.m_e)
         if isinstance(cnt, int):
-            run = [st.fn.eval(k) for k in range(st.start, st.start + cnt)]
-            deltas.extend((float(v), v) for v in run)
+            deltas.extend(st.fn.eval(k) for k in range(st.start, st.start + cnt))
     deltas = _distinct_values(deltas)
-    delta_spectrum = [math.sqrt(max(v, 0.0)) for v, _ in deltas]
+    delta_spectrum = [math.sqrt(max(float(v), 0.0)) for v in deltas]
 
     below = []
     absorbed = []
     below_vecs = []
-    for v2, v2_exact in deltas:
+    for v2 in deltas:
         # the kernel (value 0) has no unitary part; it stays in the residual block
-        lvl = _unitary_level(t, s_q, s_qq, v2, v2_exact, tol)[0] if v2 > 0 else None
+        lvl = _unitary_level(t, s_q, s_qq, v2, tol)[0] if float(v2) > 0 else None
         if lvl is not None and lvl.space.dim() and \
                 invariance_check(t, lvl.space, tol).status != REFUTED:
             below.append(lvl)
             below_vecs.extend(lvl.space.vectors)
         else:
-            absorbed.append(math.sqrt(max(v2, 0.0)))
+            absorbed.append(math.sqrt(max(float(v2), 0.0)))
 
     # complement H3 = (H1 (+) H2)^perp, with the reducing below-spaces
     # leading its basis so the U (+) D view can split them off cleanly
@@ -425,8 +412,7 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
         b_rows = _matrix_in(basis, images)
 
     cert = DecompositionCertificate(
-        spaces=t.spaces, peeled=peeled, tail_value=m_e,
-        tail_value_exact=_exact_sqrt_opt(m_e2_exact), h2=h2, tail=tail,
+        spaces=t.spaces, peeled=peeled, tail_value=m_e, h2=h2, tail=tail,
         a_cols=a_cols, b_matrix=b_rows, h3=h3, below=below,
         delta_spectrum=delta_spectrum, absorbed_deltas=absorbed,
         s_star_a_norm=s_star_a_norm, s_star_a_exact_zero=s_star_exact_zero,
@@ -435,7 +421,7 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
         lambda_card=(f"truncated@{max_peel}" if truncated else len(peeled)),
         tier=("exact" if exact_tier and not truncated and s_q.tier == "exact"
               else "numerical"),
-        norm=norm, m=m_low, m_e=m_e,
+        norm=msum.norm, m=msum.m, m_e=m_e,
         tolerances={"tol": tol, "max_peel": max_peel, "samples": samples,
                     "seed": seed, "trunc": trunc},
         notes=notes)
@@ -447,16 +433,12 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
     return cert
 
 
-def _val(vf, vexact):
-    return Scalar.exact(vexact) if vexact is not None else vf
-
-
-def _unitary_level(t, s_q, s_qq, v2, v2_exact, tol):
+def _unitary_level(t, s_q, s_qq, v2, tol):
     """(PeeledLevel, None) when T is a scaled unitary on the common
     eigenspace of T*T and TT* at v2, else (None, reason)."""
-    lam = math.sqrt(max(v2, 0.0))
-    g1 = summary_eigenspace(s_q, _val(v2, v2_exact), tol)
-    g2 = summary_eigenspace(s_qq, _val(v2, v2_exact), tol)
+    lam = math.sqrt(max(float(v2), 0.0))
+    g1 = summary_eigenspace(s_q, v2, tol)
+    g2 = summary_eigenspace(s_qq, v2, tol)
     eq, res = g1.equals(g2, tol)
     if not eq:
         return None, (f"eigenspaces of |T| and |T*| differ at value {lam:.12g} "
@@ -466,7 +448,7 @@ def _unitary_level(t, s_q, s_qq, v2, v2_exact, tol):
     if cont > tol * max(1.0, lam) or ur > tol * 10:
         return None, (f"restriction at value {lam:.12g} is not unitary "
                       f"(containment {cont:.3g}, unitary residual {ur:.3g})")
-    return PeeledLevel(lam, _exact_sqrt_opt(v2_exact), g1, mat, ur), None
+    return PeeledLevel(lam, g1, mat, ur), None
 
 
 def _isometry_residual(t, h2, lam):

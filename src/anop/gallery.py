@@ -247,10 +247,13 @@ def build(name, **params):
         "jacobi": jacobi_operator,
         "flip_unitary": flip_unitary,
     }
-    if name == "scaled_shift":
-        return right_shift(params.get("scale", 2))
-    if name == "theorem_form":
-        return theorem_form(**params)
+    try:
+        if name == "scaled_shift":
+            return right_shift(params.get("scale", 2))
+        if name == "theorem_form":
+            return theorem_form(**params)
+    except TypeError as exc:
+        raise BadParams(f"bad parameters for {name}: {exc}") from None
     if name in builders:
         return builders[name]()
     raise BadParams(f"unknown gallery operator {name!r}; have "

@@ -517,8 +517,6 @@ def dense_window(op, sizes):
 class TruncationResult:
     matrix: np.ndarray
     labels: list
-    starts: list
-    sizes: list
     tail_bound: float
 
 
@@ -558,7 +556,7 @@ def truncate(op, n):
             for r in range(blk.nrows):
                 for c in range(blk.ncols):
                     mat[ri + r, cj + c] += complex(blk.matrix[r][c])
-    return TruncationResult(mat, labels, starts, sizes, bound)
+    return TruncationResult(mat, labels, bound)
 
 
 # -- structure helpers -------------------------------------------------------------

@@ -545,8 +545,7 @@ def norm_attaining_check(t, tol=1e-10, trunc=256):
     """Proven iff ||T||^2 is attained by an eigenspace of T*T."""
     s = modulus_summary(t, tol, trunc).base
     norm2 = s.norm
-    value = s.norm_exact if s.norm_exact is not None else norm2
-    space = summary_eigenspace(s, value, tol)
+    space = summary_eigenspace(s, norm2, tol)
     if not space.is_zero():
         return PredicateVerdict(
             "norm_attaining", PROVEN, subspace=space,
@@ -568,7 +567,8 @@ def an_check(t, tol=1e-10, trunc=256):
     s = modulus_summary(t, tol, trunc).base
     points = [p for p in s.ess if p[0] == "point"]
     intervals = [p for p in s.ess if p[0] == "interval"]
-    evidence = {"ess": [_ess_json(p) for p in s.ess], "m2": s.m, "m_e2": s.m_e}
+    evidence = {"ess": [_ess_json(p) for p in s.ess], "m2": s.m,
+                "m_e2": float(s.m_e)}
     if intervals:
         # a nonconstant real symbol has a range of positive width, so on
         # exact data every interval piece refutes; float widths meet tol
@@ -585,7 +585,7 @@ def an_check(t, tol=1e-10, trunc=256):
                                           "rule": "essential spectrum has at least "
                                                   "two points"},
                                 tolerances={"tol": tol})
-    cnt = count_spectrum_in(s, s.m, s.m_e if s.m_e_exact is None else s.m_e_exact)
+    cnt = count_spectrum_in(s, s.m, s.m_e)
     if cnt == "infinite":
         return PredicateVerdict("an", REFUTED,
                                 evidence={**evidence,
@@ -625,8 +625,7 @@ def compute_M_and_Mstar(t, tol=1e-10, trunc=256):
         raise NotNormAttaining("operator does not attain its norm")
     m_space = na.subspace
     s2 = adjoint_modulus_summary(t, tol, trunc).base
-    norm2 = s2.norm_exact if s2.norm_exact is not None else s2.norm
-    return m_space, summary_eigenspace(s2, norm2, tol).intersect(m_space)
+    return m_space, summary_eigenspace(s2, s2.norm, tol).intersect(m_space)
 
 
 # -- witness re-validation -----------------------------------------------------------------

@@ -6,6 +6,11 @@ T*T and TT* are built here only (`gram`, `cogram`). A call decorated with
 `shares_derived` opens a memo in which they, the modulus summaries (per tol
 and trunc) and other `memoised` objects are built once per operator; nested
 calls join the outermost memo, which is dropped when that call returns.
+
+A real spectral value of a positive-operator summary (an eigenvalue, the
+norm, the essential minimum) is one Python number: a Fraction when the
+summary proved it exactly, a float otherwise, as `Scalar.re` returns it.
+Tolerance tests and printed figures read it through float().
 """
 
 import contextvars
@@ -169,7 +174,7 @@ def _merge_pieces(pieces, tol=1e-10):
         pf = float(p.re)
         if any(lo - tol <= pf <= hi + tol for lo, hi in merged):
             continue
-        if any(_pt_eq(p, q, tol) for q in out_points):
+        if any(_same_value(p.re, q.re, tol) for q in out_points):
             continue
         out_points.append(p)
     out = [("interval", lo, hi) for lo, hi in merged]
@@ -177,10 +182,12 @@ def _merge_pieces(pieces, tol=1e-10):
     return sorted(out, key=lambda t: t[1] if t[0] == "interval" else float(t[1].re))
 
 
-def _pt_eq(a, b, tol):
-    if a.is_exact and b.is_exact:
+def _same_value(a, b, tol):
+    """Whether two real values agree: exactly when both are exact, else
+    within tol."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
-    return abs(float(a.re) - float(b.re)) <= tol
+    return abs(float(a) - float(b)) <= tol
 
 
 def essential_spectrum(op, tol=1e-10):
@@ -281,8 +288,10 @@ class EigStream:
 
     def count_below(self, bound):
         """#{k >= start: fn(k) < bound}; int, 'infinite' or 'unknown'. A
-        count n means the values below the bound are those at start..start+n-1."""
-        bound = Fraction(bound)
+        count n means the values below the bound are those at start..start+n-1.
+        A float bound is read as a rational of denominator at most 10^9."""
+        if not isinstance(bound, Fraction):
+            bound = Fraction(bound).limit_denominator(10 ** 9)
         runs = self.fn.sub_const(bound).runs_from(self.start)
         if len(runs) == 1:
             return 0 if runs[0][1] >= 0 else "infinite"
@@ -298,9 +307,8 @@ class EigStream:
 
 @dataclass
 class DiscreteEig:
-    value: float
+    value: object                     # Fraction when exact, else float
     mult: int
-    exact: Fraction | None = None
     source: str = "corner"
 
 
@@ -320,8 +328,6 @@ class SpectralSummary:
         self.norm = 0.0
         self.m = 0.0
         self.m_e = 0.0
-        self.norm_exact = None
-        self.m_e_exact = None
         self._corner = None
         self._corner_sizes = None
         self._corner_pairs = None
@@ -332,10 +338,11 @@ class SpectralSummary:
     # serialization of just the summary facts
     def to_json(self):
         return {"ess": _ess_to_json(self.ess),
-                "discrete": [{"value": d.value, "mult": d.mult,
-                              **({"exact": str(d.exact)} if d.exact is not None else {})}
+                "discrete": [{"value": float(d.value), "mult": d.mult,
+                              **({"exact": str(d.value)}
+                                 if isinstance(d.value, Fraction) else {})}
                              for d in self.discrete],
-                "norm": self.norm, "m": self.m, "m_e": self.m_e,
+                "norm": float(self.norm), "m": self.m, "m_e": float(self.m_e),
                 "tier": "Exact" if self.tier == "exact" else "Numerical"}
 
 
@@ -457,7 +464,7 @@ def _structured_summary(s, classes, trunc):
                 if not used[k] and abs(w - lf) <= 1e-7 * scale]
         for k in hits[:len(ker)]:
             used[k] = True
-        entries.append((lf, len(ker), lam))
+        entries.append((lam, len(ker)))
     k = 0
     while k < len(pairs):
         if used[k]:
@@ -470,48 +477,35 @@ def _structured_summary(s, classes, trunc):
                 mult += 1
                 used[j] = True
             j += 1
-        entries.append((pairs[k][0], mult, None))
+        entries.append((pairs[k][0], mult))
         k = j
     # split into discrete/c0 classes; exact values compare exactly so a
     # discrete eigenvalue merely float-close to a tail constant survives
-    c0_vals = [(float(c.re), Fraction(c.re) if c.is_exact else None)
-               for c in s.c0s.values()]
-
-    def _matches_c0(val, exact):
-        for vf, ex in c0_vals:
-            if exact is not None and ex is not None:
-                if exact == ex:
-                    return True
-            elif abs(val - vf) <= 1e-9 * scale:
-                return True
-        return False
-
-    for val, mult, exact in sorted(entries, key=lambda e: -e[0]):
-        if not _matches_c0(val, exact):
-            s.discrete.append(DiscreteEig(val, mult, exact))
+    c0_vals = [c.re for c in s.c0s.values()]
+    for val, mult in sorted(entries, key=lambda e: -float(e[0])):
+        if not any(_same_value(val, c, 1e-9 * scale) for c in c0_vals):
+            s.discrete.append(DiscreteEig(val, mult))
     # stream values listed (capped) for reporting
     for st in s.streams:
         for k in range(st.start, st.start + min(trunc, 64)):
-            v = st.value(k)
-            s.discrete.append(DiscreteEig(float(v), 1, v, source="stream"))
-    s.discrete.sort(key=lambda d: -d.value)
-    # norm / m / m_e from (float, exact or None) candidates: the refined
-    # corner entries, the tail constants and the exact stream extremes
-    highs = [(val, lam) for val, _, lam in entries] + c0_vals
-    lows = [val for val, _ in highs]
+            s.discrete.append(DiscreteEig(st.value(k), 1, source="stream"))
+    s.discrete.sort(key=lambda d: -float(d.value))
+    # norm / m / m_e from the refined corner entries, the tail constants and
+    # the exact stream extremes; the norm is exact when the largest exact
+    # candidate attains it, m_e when every essential point is exact
+    highs = [val for val, _ in entries] + c0_vals
+    lows = [float(v) for v in highs]
     for st in s.streams:
         st_lo, st_hi = st.fn.extremes_from(st.start)
-        highs.append((float(st_hi), st_hi))
+        highs.append(st_hi)
         lows.append(float(st_lo))
-    s.norm = max((val for val, _ in highs), default=0.0)
+    norm = max((float(v) for v in highs), default=0.0)
+    top = max((v for v in highs if isinstance(v, Fraction)), default=None)
+    s.norm = top if top is not None and float(top) == norm else norm
     s.m = max(min(lows, default=0.0), 0.0)
     s.m_e = min(ess_points(s.ess), default=0.0)
-    # exact labels come from exact data only: the largest exact candidate
-    # when it attains the norm, the least essential point when all are exact
-    top = max((lam for _, lam in highs if lam is not None), default=None)
-    s.norm_exact = top if top is not None and float(top) == s.norm else None
     if s.ess and all(p[1].is_exact for p in s.ess):
-        s.m_e_exact = min(Fraction(p[1].re) for p in s.ess)
+        s.m_e = min(p[1].re for p in s.ess)
     all_pairs_exact = pairs and sum(len(k) for k in exact_values.values()) == len(pairs)
     s.tier = "exact" if (exact_corner and not s.streams and
                          (not pairs or all_pairs_exact)) else "numerical"
@@ -572,12 +566,9 @@ def summary_eigenspace(s, value, tol=None):
     """N(p - value I) as a Subspace (exact wherever the data allows)."""
     tol = tol if tol is not None else s.tol
     p = s.op
-    if isinstance(value, Scalar):
-        exact_val = Fraction(value.re) if value.is_exact else None
-    else:
-        exact_val = Fraction(value) if isinstance(value, (int, Fraction)) else None
-    vf = float(exact_val) if exact_val is not None else \
-        (float(value.re) if isinstance(value, Scalar) else float(value))
+    value = Scalar.of(value).re
+    exact_val = value if isinstance(value, Fraction) else None
+    vf = float(value)
     if s._path != "structured":
         if s._corner_pairs is None:
             t1 = truncate(p, s._window)
@@ -598,11 +589,7 @@ def summary_eigenspace(s, value, tol=None):
         corner_vecs = _near_eigvecs(p, labels, s._corner_pairs, vf)
     tails = {}
     for i, c0 in s.c0s.items():
-        same = (exact_val is not None and c0.is_exact and Fraction(c0.re) == exact_val)
-        if not same and abs(float(c0.re) - vf) <= 1e-12 * max(1.0, abs(vf)) and \
-           not (exact_val is not None and c0.is_exact):
-            same = True
-        if same:
+        if _same_value(value, c0.re, 1e-12 * max(1.0, abs(vf))):
             tails[i] = sizes[i]
     stream_vecs = []
     for st in s.streams:
@@ -636,8 +623,9 @@ def count_spectrum_in(s, lo, hi):
     count = 0
     seen = set()
     for d in s.discrete:
-        if d.source == "corner" and lo - 1e-12 <= d.value < hi - 1e-12:
-            key = round(d.value, 9)
+        v = float(d.value)
+        if d.source == "corner" and lo - 1e-12 <= v < hi - 1e-12:
+            key = round(v, 9)
             if key not in seen:
                 seen.add(key)
                 count += 1
@@ -646,8 +634,7 @@ def count_spectrum_in(s, lo, hi):
         if lo - 1e-12 <= v < hi - 1e-12:
             count += 1
     for st in s.streams:
-        hi_exact = Fraction(hi).limit_denominator(10 ** 9) if not isinstance(hi, Fraction) else hi
-        below = st.count_below(hi_exact)
+        below = st.count_below(hi)
         if below in ("infinite", "unknown"):
             return below
         count += below
@@ -669,12 +656,12 @@ class ModulusSummary:
             else:
                 self.ess.append(("interval", math.sqrt(max(piece[1], 0.0)),
                                  math.sqrt(max(piece[2], 0.0))))
-        self.discrete = [DiscreteEig(math.sqrt(max(d.value, 0.0)), d.mult,
-                                     _exact_sqrt_opt(d.exact), d.source)
+        self.discrete = [DiscreteEig(math.sqrt(max(float(d.value), 0.0)), d.mult,
+                                     d.source)
                          for d in base.discrete]
-        self.norm = math.sqrt(max(base.norm, 0.0))
+        self.norm = math.sqrt(max(float(base.norm), 0.0))
         self.m = math.sqrt(max(base.m, 0.0))
-        self.m_e = math.sqrt(max(base.m_e, 0.0))
+        self.m_e = math.sqrt(max(float(base.m_e), 0.0))
         self.tier = base.tier
 
     def to_json(self):
@@ -682,16 +669,6 @@ class ModulusSummary:
                 "discrete": [{"value": d.value, "mult": d.mult} for d in self.discrete],
                 "norm": self.norm, "m": self.m, "m_e": self.m_e,
                 "tier": "Exact" if self.tier == "exact" else "Numerical"}
-
-
-def _exact_sqrt_opt(v):
-    if v is None:
-        return None
-    from .scalars import exact_sqrt
-    if v < 0:
-        return None
-    r, perfect = exact_sqrt(Fraction(v))
-    return r if perfect else None
 
 
 def modulus_summary(t, tol=1e-10, trunc=256):
@@ -735,7 +712,7 @@ def positive_an_diagonalize(p, tol=1e-10, trunc=256, max_stream=64):
     pts = [pc for pc in s.ess]
     if len(pts) != 1 or pts[0][0] != "point":
         raise NotAN("essential spectrum is not a single point")
-    cnt = count_spectrum_in(s, s.m, s.m_e if s.m_e_exact is None else s.m_e_exact)
+    cnt = count_spectrum_in(s, s.m, s.m_e)
     if cnt == "infinite":
         raise NotAN("infinitely many spectrum points below the essential minimum")
     pairs = []
@@ -743,8 +720,7 @@ def positive_an_diagonalize(p, tol=1e-10, trunc=256, max_stream=64):
     for d in s.discrete:
         if d.source != "corner":
             continue
-        val = d.exact if d.exact is not None else d.value
-        pairs.append((float(d.value), summary_eigenspace(s, val, tol)))
+        pairs.append((float(d.value), summary_eigenspace(s, d.value, tol)))
     for st in s.streams:
         for k in range(st.start, st.start + max_stream):
             pairs.append((float(st.value(k)),

@@ -135,6 +135,21 @@ def test_certify_exit_codes(tmp_path, shift_file):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["theorem_form", "--params", "[1]"],
+    ["theorem_form", "--params", '{"foo": 1}'],
+    ["theorem_form", "--params", '{"levels": [], "m_e": "x"}'],
+    # the operator file would carry a NaN or an out-of-range number
+    ["scaled_shift", "--scale", "nan"],
+    ["scaled_shift", "--scale", "1e300"],
+])
+def test_gallery_bad_parameters_exit_64(capsys, argv):
+    code, out = run_cli(["gallery"] + argv)
+    err = capsys.readouterr().err
+    assert code == 64 and out == ""
+    assert err.startswith("anop: ") and err.count("\n") == 1
+
+
 def test_parse_error_exit_65(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{broken")

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from anop.blocks import DenseBlock
+from anop.blocks import BandedBlock, DenseBlock, FiniteRankBlock
+from anop.diagonals import DiagonalSeq
 from anop.decomposition import (assemble_upper, block_upper_inverse,
                                 certify_normal, compress_to_complement,
                                 coupling_vanishes, invariance_check,
@@ -21,12 +22,14 @@ from anop.errors import (HypothesisFailed, NotInvertible, StarParanormalRefuted,
 from anop.gallery import (diag_operator, example1, flip_unitary,
                           nilpotent_pair, random_rational_unitary,
                           random_theorem_form, right_shift, theorem_form)
-from anop.operators import (L2, OperatorExpr, adjoint, apply, direct_sum,
-                            finite, identity_operator, multiply, ops_equal_exact)
+from anop.operators import (L2, OperatorExpr, adjoint, apply, dense_window,
+                            direct_sum, finite, identity_operator, multiply,
+                            ops_equal_exact, window_layout)
 from anop.predicates import an_check, compute_M_and_Mstar, star_paranormal_check
 from anop.scalars import Scalar
 from anop.serialize import load
-from anop.spectral import adjoint_modulus_summary, modulus_summary
+from anop.spectral import (adjoint_modulus_summary, modulus_summary,
+                           summary_eigenspace)
 from anop.subspaces import Subspace
 from anop.vectors import VectorExpr
 
@@ -488,6 +491,37 @@ def test_compress_to_complement_drops_kernel_block():
     t2 = compress_to_complement(t, ker)
     assert min(modulus_summary(t2).m, adjoint_modulus_summary(t2).m) > 1.0
     assert an_check(t2).status == "Proven"
+
+
+def test_compress_to_complement_keeps_couplings_between_tails():
+    # T(x, y) = (D0 x + C01 y, C10 x + D1 y) on l2 (+) l2 with kernel spanned
+    # by (3 e0, -4 e0): the complement keeps both tails from 1 and the extra
+    # direction (4 e0, 3 e0)/5, so every coupling branch has entries
+    x = Scalar.exact
+    t = OperatorExpr((L2, L2), {
+        (0, 0): BandedBlock({0: DiagonalSeq([x(4)], x(2))}),
+        (0, 1): FiniteRankBlock({(0, 0): x(3), (0, 1): x(0, 2), (1, 2): x(1)}),
+        (1, 0): FiniteRankBlock({(0, 0): x(4), (2, 0): x(4), (3, 1): x(1)}),
+        (1, 1): BandedBlock({0: DiagonalSeq(limit=x(3)),
+                             2: DiagonalSeq([x(3)], x(0))}),
+    })
+    kernel = summary_eigenspace(modulus_summary(t).base, x(0))
+    assert kernel.dim() == 1
+    comp = kernel.complement()
+    extras = comp.onb()
+    assert comp.tails == {0: 1, 1: 1} and len(extras) == 1
+    c = compress_to_complement(t, kernel)
+    assert {(0, 2), (2, 0), (1, 2), (2, 1)} <= set(c.blocks)
+    basis = {0: lambda k: extras[k],
+             1: lambda k: VectorExpr.basis(t.spaces, 0, 1 + k),
+             2: lambda k: VectorExpr.basis(t.spaces, 1, 1 + k)}
+    sizes = [1, 8, 8]
+    _, labels = window_layout(c.spaces, sizes)
+    window = dense_window(c, sizes)
+    for i, (ci, k) in enumerate(labels):
+        for j, (cj, kk) in enumerate(labels):
+            assert window[i][j] == apply(t, basis[cj](kk)).inner(basis[ci](k)), \
+                ((ci, k), (cj, kk))
 
 
 def test_an_check_survives_tail_restriction():

@@ -107,14 +107,11 @@ def test_summary_matches_dense_sections_randomized():
                     (seed, val, [d.value for d in s.discrete])
         # eigenvectors reproduce their eigenvalues through the operator
         for d in s.discrete:
-            space = summary_eigenspace(s, d.exact if d.exact is not None
-                                       else d.value)
+            space = summary_eigenspace(s, d.value)
             assert (space.dim() or 0) >= d.mult
             from anop.operators import apply
             for b in space.onb():
-                r = apply(p, b) - b.scaled(
-                    Scalar.exact(d.exact) if d.exact is not None
-                    else Scalar.inexact(d.value))
+                r = apply(p, b) - b.scaled(Scalar.of(d.value))
                 assert r.norm_float() <= 1e-8
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from anop.blocks import BandedBlock
+from anop.blocks import BandedBlock, FiniteRankBlock
 from anop.diagonals import DiagonalSeq
 from anop.errors import NotNormAttaining
 from anop.gallery import (diag_operator, example1, example2, flip_unitary,
@@ -34,6 +34,21 @@ def test_is_normal_shift_refuted_with_recheck():
                 v.witness).inner(v.witness)
     assert gap == Scalar.exact(4)
     assert revalidate_witness(v, right_shift(2))
+
+
+def test_star_paranormal_stage_three_refutes_a_rotated_weighted_shift():
+    # R*WR with W the weighted shift of weights 5, 4, 4, ... (25 > 4 * 4, so
+    # W is not star-paranormal) and R the rotation (3/5, 4/5) on e0, e1: one
+    # sample misses, the k-grid section finds the witness
+    w = OperatorExpr((L2,), {(0, 0): BandedBlock(
+        {1: DiagonalSeq([Scalar.exact(5)], Scalar.exact(4))})})
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    r = identity_operator((L2,)) + OperatorExpr((L2,), {(0, 0): FiniteRankBlock(
+        {(0, 0): c - 1, (0, 1): -s, (1, 0): s, (1, 1): c - 1})})
+    t = multiply(multiply(adjoint(r), w), r)
+    v = star_paranormal_check(t, samples=1, seed=0)
+    assert v.status == "Refuted" and v.evidence["stage"] == 3
+    assert v.witness.is_exact() and revalidate_witness(v, t)
 
 
 def test_hyponormal_shift_and_its_adjoint():

@@ -374,6 +374,38 @@ def test_no_unused_imports_or_private_functions():
     assert _dead_names(sources) == []
 
 
+def _dead_fields(sources, readers):
+    """(module, Class.field) of each dataclass field in `sources` that no
+    attribute read in `readers` names."""
+    import ast
+    read = {n.attr for src in readers for n in ast.walk(ast.parse(src))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    found = []
+    for mod, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                found += [(mod, f"{node.name}.{stmt.target.id}") for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign) and
+                          isinstance(stmt.target, ast.Name) and stmt.target.id not in read]
+    return found
+
+
+def test_no_unread_dataclass_fields():
+    """A dataclass field that nothing reads is dead weight; only writes,
+    keyword arguments or names elsewhere do not count as reads."""
+    from pathlib import Path
+    assert _dead_fields({"m.py": "@dataclass\nclass P:\n    a: int\n    b: int = 0\n"
+                                 "class Q:\n    c: int\n"},
+                        ["p.a\np.b = 1\nP(b=2)\n"]) == [("m.py", "P.b")]
+    root = Path(__file__).resolve().parent.parent
+    sources = {path.name: path.read_text()
+               for path in sorted((root / "src/anop").glob("*.py"))}
+    readers = [path.read_text() for d in ("src/anop", "tests", "demos", "bench")
+               for path in sorted((root / d).rglob("*.py"))]
+    assert _dead_fields(sources, readers) == []
+
+
 def _stream(num, den, start=0):
     return EigStream(0, start, RationalFn(num, den))
 
