@@ -169,6 +169,7 @@ _GRID = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3) if n] + [Fracti
 _GRID_FLOAT = np.array([float(g) for g in _GRID])
 _NO_IM = len(_GRID) - 1
 _FIRST_BATCH, _BATCH = 64, 128
+_SUPPORT_CAP = 12          # most coordinates a random sample sets
 
 
 class SampleBatch(NamedTuple):
@@ -179,12 +180,12 @@ class SampleBatch(NamedTuple):
     vector: Callable[[int], VectorExpr]
 
 
-def iter_sample_vectors(t, count, seed, support_cap=12):
+def iter_sample_vectors(t, count, seed):
     """Deterministic batches of candidate vectors supported in the corner
     plus one band beyond: first one batch of the basis vectors of that
-    region, then `count` random vectors with rational coordinates, drawn
-    lazily in batches of 64 and then 128, so a caller that stops early draws
-    no further batch."""
+    region, then `count` random vectors with rational values on at most
+    `_SUPPORT_CAP` coordinates, drawn lazily in batches of 64 and then 128,
+    so a caller that stops early draws no further batch."""
     regions = _sample_region(t)
     nreg = len(regions)
     yield SampleBatch(np.eye(nreg, dtype=complex),
@@ -194,7 +195,7 @@ def iter_sample_vectors(t, count, seed, support_cap=12):
     # length draws, and returns the index
     randint, sample, choice, coin = rng.randint, rng.sample, rng.choice, rng.random
     coords, grid = range(nreg), range(len(_GRID) - 1)
-    cap = min(support_cap, nreg)
+    cap = min(_SUPPORT_CAP, nreg)
     drawn, size = 0, _FIRST_BATCH
     while drawn < count:
         m = min(size, count - drawn)
@@ -456,7 +457,10 @@ def star_paranormal_check(t, tol=1e-10, k_grid=64, samples=100000, seed=42,
                           trunc=256):
     """Three stages: structural proof via hyponormality, exact refutation by
     sampling, then PSD evidence for T*^2 T^2 - 2k TT* + k^2 I on sections
-    over a geometric k-grid."""
+    over a geometric k-grid. Stage 3 checks the least eigenvalue of each
+    k-section and never proves; when both sections are diagonal, as for a
+    weighted shift, it reads those eigenvalues off the diagonal instead of
+    calling the dense eigensolver, with the same bits."""
     hypo = hyponormal_check(t, tol)
     if hypo.status == PROVEN:
         return PredicateVerdict("star_paranormal", PROVEN,
@@ -481,7 +485,6 @@ def star_paranormal_check(t, tol=1e-10, k_grid=64, samples=100000, seed=42,
     n_sec = max(max(corner_sizes(s4)) + 4, min(trunc, 192))
     sec4 = truncate(s4, n_sec).matrix
     sec2 = truncate(tts, n_sec).matrix
-    eye = np.eye(len(sec4))
     ks = np.geomspace(2.0 * norm2 * 1e-6, 2.0 * norm2, int(k_grid))
     worst = None
     thetas = np.linspace(0, 2 * np.pi, 512, endpoint=False)
@@ -489,17 +492,15 @@ def star_paranormal_check(t, tol=1e-10, k_grid=64, samples=100000, seed=42,
                  symbol(tts, i).eval_theta(thetas).real) for i in s4.l2_components()]
     min_symbol = float("inf")
     min_section = float("inf")
-    for k in ks:
-        mk = sec4 - 2.0 * k * sec2 + (k * k) * eye
-        wmin = float(np.linalg.eigvalsh(mk)[0])
+    for k, wmin in zip(ks, _section_min_eigs(sec4, sec2, ks)):
         min_section = min(min_section, wmin)
         for v4, v2 in sym_vals:
             min_symbol = min(min_symbol, float(np.min(v4 - 2 * k * v2 + k * k)))
         if wmin < -tol * max(1.0, norm2 ** 2):
-            worst = (k, mk, wmin)
+            worst = (k, wmin)
     if worst is not None:
-        k, mk, wmin = worst
-        _, vecs = np.linalg.eigh(mk)
+        k, wmin = worst
+        _, vecs = np.linalg.eigh(_section(sec4, sec2, k))
         flat = vecs[:, 0]
         cand = _rationalize_witness(t, n_sec, flat)
         if cand is not None:
@@ -516,6 +517,44 @@ def star_paranormal_check(t, tol=1e-10, k_grid=64, samples=100000, seed=42,
                   "min_section_eig": min_section, "min_symbol": min_symbol,
                   "samples": checked, "seed": seed},
         tolerances={"tol": tol})
+
+
+def _section(sec4, sec2, k):
+    """The k-section of T*^2 T^2 - 2k TT* + k^2 I from the sections of
+    T*^2 T^2 and TT*."""
+    return sec4 - 2.0 * k * sec2 + (k * k) * np.eye(len(sec4))
+
+
+# LAPACK's Hermitian eigensolver rescales a matrix whose largest |entry| lies
+# outside [sqrt(smlnum), 1/sqrt(smlnum)], smlnum = safe minimum / precision,
+# which can move the last bits of its eigenvalues
+_EIG_UNSCALED = (math.sqrt(np.finfo(float).tiny / 2.0 ** -52),
+                 math.sqrt(2.0 ** -52 / np.finfo(float).tiny))
+
+
+def _section_min_eigs(sec4, sec2, ks):
+    """The least eigenvalue of `_section(sec4, sec2, k)` for each k in ks,
+    bit for bit as `np.linalg.eigvalsh` computes it. When sec4 and sec2 are
+    real diagonal (a weighted shift), so is every k-section, and within
+    LAPACK's unscaled range its eigenvalues are its diagonal entries, found
+    here with the operations of `_section` in the same order; every other
+    section goes to the dense eigensolver."""
+    d4, d2 = _real_diagonal(sec4), _real_diagonal(sec2)
+    diagonal = d4 is not None and d2 is not None
+    lo, hi = _EIG_UNSCALED
+    for k in ks:
+        if diagonal:
+            d = d4 - 2.0 * k * d2 + k * k
+            if lo <= float(np.max(np.abs(d))) <= hi:
+                yield float(np.min(d))
+                continue
+        yield float(np.linalg.eigvalsh(_section(sec4, sec2, k))[0])
+
+
+def _real_diagonal(m):
+    """The diagonal of m when m is a real diagonal matrix, else None."""
+    d = m.diagonal().real
+    return d if np.array_equal(m, np.diag(d)) else None
 
 
 def _rationalize_witness(t, n_sec, flat):

@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from anop.blocks import BandedBlock, FiniteRankBlock
 from anop.diagonals import DiagonalSeq
@@ -10,12 +12,14 @@ from anop.errors import NotNormAttaining
 from anop.gallery import (diag_operator, example1, example2, flip_unitary,
                           jacobi_operator, nilpotent_pair, right_shift)
 from anop.operators import (L2, OperatorExpr, adjoint, apply, direct_sum,
-                            identity_operator, multiply)
-from anop.predicates import (an_check, compute_M_and_Mstar, hyponormal_check,
-                             is_normal, norm_attaining_check, paranormal_refute,
+                            identity_operator, multiply, truncate)
+from anop.predicates import (_real_diagonal, _section, _section_min_eigs, an_check,
+                             compute_M_and_Mstar, hyponormal_check, is_normal,
+                             norm_attaining_check, paranormal_refute,
                              revalidate_witness, star_paranormal_check)
 from anop.ratfn import RationalFn
 from anop.scalars import Scalar
+from anop.spectral import cogram, gram, modulus_summary
 from anop.vectors import VectorExpr
 
 
@@ -108,14 +112,59 @@ def test_star_paranormal_nilpotent_witness():
     assert revalidate_witness(v, nilpotent_pair())
 
 
-def test_star_paranormal_stage3_numerical():
-    # the example-2 adjoint is proven hyponormal structurally; use the
-    # example-2 operator itself, which is not hyponormal, for stage 3
+def test_star_paranormal_example2_refuted_at_stage_two():
+    # example 2 is not hyponormal, and its first basis vector already breaks
+    # ||T*x||^2 <= ||T^2 x|| ||x||, so sampling refutes it before stage 3
     t2 = example2()
     v = star_paranormal_check(t2, samples=400, seed=2, k_grid=12, trunc=96)
-    assert v.status in ("Refuted", "Numerical")
-    if v.status == "Refuted":
-        assert revalidate_witness(v, t2)
+    assert v.status == "Refuted"
+    assert v.evidence["stage"] == 2 and v.evidence["checked"] == 1
+    assert revalidate_witness(v, t2)
+
+
+def _weighted_shift(a, b, c):
+    """The weighted shift of weights a, b, c, c, c, ..."""
+    return OperatorExpr((L2,), {(0, 0): BandedBlock(
+        {1: DiagonalSeq([Scalar.exact(a), Scalar.exact(b)], Scalar.exact(c))})})
+
+
+def test_star_paranormal_stage_three_numerical_on_a_weighted_shift():
+    # weights 3, 1, 9, 9, ...: 3^2 <= 1 * 9, so no vector refutes, and the
+    # k-sections are diagonal
+    v = star_paranormal_check(_weighted_shift(3, 1, 9), k_grid=32, samples=200, seed=3)
+    assert v.status == "Numerical" and v.evidence["stage"] == 3
+    assert v.evidence["min_section_eig"] == 3.3999730400938404
+
+
+@pytest.mark.parametrize("weights", [(3, 1, 9), (3, 1, 10), (4, 2, 9), (3, 2, 5)])
+def test_diagonal_section_minimum_matches_the_eigensolver(weights):
+    # scales on both edges of LAPACK's unscaled range, where the eigensolver
+    # rescales and the diagonal alone would differ in the last bits
+    for e in (-80, -60, -40, -37, 0, 36, 37, 38, 60):
+        t = _weighted_shift(*weights).scaled(Fraction(10) ** e)
+        sec4 = truncate(gram(multiply(t, t)), 64).matrix
+        sec2 = truncate(cogram(t), 64).matrix
+        assert _real_diagonal(sec4) is not None and _real_diagonal(sec2) is not None
+        norm2 = modulus_summary(t).norm ** 2
+        ks = np.geomspace(2.0 * norm2 * 1e-6, 2.0 * norm2, 32)
+        got = [w.hex() for w in _section_min_eigs(sec4, sec2, ks)]
+        want = [float(np.linalg.eigvalsh(_section(sec4, sec2, k))[0]).hex() for k in ks]
+        assert got == want, e
+
+
+@given(st.data())
+def test_star_paranormal_on_the_weighted_shift_family(data):
+    # weights a, b, c, c, ... with b < a: star-paranormal exactly when
+    # a^2 <= b c, and otherwise the basis vector e1 refutes it
+    a = data.draw(st.integers(2, 6))
+    b = data.draw(st.integers(1, a - 1))
+    c = data.draw(st.integers(b, -(-a * a // b) + 2))
+    t = _weighted_shift(a, b, c)
+    v = star_paranormal_check(t, samples=200)
+    if a * a > b * c:
+        assert v.status == "Refuted" and revalidate_witness(v, t)
+    else:
+        assert v.status == "Numerical" and v.evidence["stage"] == 3
 
 
 def test_norm_attaining_scaled_shift_full():
