@@ -163,8 +163,8 @@ def _sample_region(t):
             for k in range(sizes[ci] if sp.kind == "l2" else sp.dim)]
 
 
-# sample values: grid[i] for an index i drawn by rng.choice, with the zero
-# imaginary part appended at the end
+# sample values: grid[i] for an index i drawn as rng.choice over the grid
+# would draw it, with the zero imaginary part appended at the end
 _GRID = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3) if n] + [Fraction(0)]
 _GRID_FLOAT = np.array([float(g) for g in _GRID])
 _NO_IM = len(_GRID) - 1
@@ -180,38 +180,89 @@ class SampleBatch(NamedTuple):
     vector: Callable[[int], VectorExpr]
 
 
-def iter_sample_vectors(t, count, seed):
-    """Deterministic batches of candidate vectors supported in the corner
-    plus one band beyond: first one batch of the basis vectors of that
-    region, then `count` random vectors with rational values on at most
-    `_SUPPORT_CAP` coordinates, drawn lazily in batches of 64 and then 128,
-    so a caller that stops early draws no further batch."""
-    regions = _sample_region(t)
+def iter_sample_vectors(t, regions, count, seed):
+    """Deterministic batches of candidate vectors supported on `regions`
+    (`_sample_region(t)`: the corner plus one band beyond): first one batch
+    of the basis vectors of that region, then `count` random vectors with
+    rational values on at most `_SUPPORT_CAP` coordinates, drawn lazily in
+    batches of 64 and then 128, so a caller that stops early draws no
+    further batch. The random vectors come from CPython's
+    `random.Random(seed)` stream, consumed word for word as its `randint`,
+    `sample`, `choice` and `random` would consume it (see `_draw_samples`)."""
     nreg = len(regions)
     yield SampleBatch(np.eye(nreg, dtype=complex),
                       lambda j: VectorExpr.basis(t.spaces, *regions[j]))
     rng = random.Random(seed)
-    # choice over a range draws exactly what choice over a list of the same
-    # length draws, and returns the index
-    randint, sample, choice, coin = rng.randint, rng.sample, rng.choice, rng.random
-    coords, grid = range(nreg), range(len(_GRID) - 1)
-    cap = min(_SUPPORT_CAP, nreg)
     drawn, size = 0, _FIRST_BATCH
     while drawn < count:
         m = min(size, count - drawn)
-        rows, re, im, ends = [], [], [], []
-        for _ in range(m):
-            for r in sample(coords, randint(1, cap)):
-                rows.append(r)
-                re.append(choice(grid))
-                im.append(choice(grid) if coin() < 0.3 else _NO_IM)
-            ends.append(len(rows))
+        rows, re, im, ends = _draw_samples(rng, nreg, m)
         mat = np.zeros((nreg, m), dtype=complex)
         mat[rows, np.repeat(np.arange(m), np.diff(ends, prepend=0))] = \
             _GRID_FLOAT[re] + 1j * _GRID_FLOAT[im]
         yield SampleBatch(mat, _exact_columns(t.spaces, regions, rows, re, im, ends))
         drawn += m
         size = _BATCH
+
+
+def _draw_samples(rng, nreg, m):
+    """(rows, re, im, ends) of m random samples over nreg >= 1 coordinates:
+    sample j sets the coordinates rows[e] to _GRID[re[e]] + i _GRID[im[e]]
+    for ends[j - 1] <= e < ends[j]. Per sample this draws what
+
+        for r in rng.sample(range(nreg), rng.randint(1, min(_SUPPORT_CAP, nreg))):
+            re = rng.choice(range(_NO_IM))
+            im = rng.choice(range(_NO_IM)) if rng.random() < 0.3 else _NO_IM
+
+    draws, word for word, through the generator's own `getrandbits` and
+    `random`: randbelow(n) repeats getrandbits(n.bit_length()) until the
+    value is below n, randint(1, cap) is 1 + randbelow(cap), and sample takes
+    its indices from a shrinking pool while nreg is at most its set size
+    (21, plus 4 ** ceil(log(3k, 4)) for k > 5), else redraws an index until
+    it is new."""
+    getrandbits, coin = rng.getrandbits, rng.random
+    cap = min(_SUPPORT_CAP, nreg)
+    cap_bits, nreg_bits, grid_bits = cap.bit_length(), nreg.bit_length(), _NO_IM.bit_length()
+    bits = [n.bit_length() for n in range(nreg + 1)]
+    pooled = [nreg <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+              for k in range(cap + 1)]
+    rows, re, im, ends = [], [], [], []
+    for _ in range(m):
+        k = getrandbits(cap_bits)
+        while k >= cap:
+            k = getrandbits(cap_bits)
+        k += 1
+        if pooled[k]:
+            pool = list(range(nreg))
+            for n in range(nreg, nreg - k, -1):
+                b = bits[n]
+                j = getrandbits(b)
+                while j >= n:
+                    j = getrandbits(b)
+                rows.append(pool[j])
+                pool[j] = pool[n - 1]
+        else:
+            selected = set()
+            for _ in range(k):
+                j = getrandbits(nreg_bits)
+                while j >= nreg or j in selected:
+                    j = getrandbits(nreg_bits)
+                selected.add(j)
+                rows.append(j)
+        for _ in range(k):
+            g = getrandbits(grid_bits)
+            while g >= _NO_IM:
+                g = getrandbits(grid_bits)
+            re.append(g)
+            if coin() < 0.3:
+                g = getrandbits(grid_bits)
+                while g >= _NO_IM:
+                    g = getrandbits(grid_bits)
+                im.append(g)
+            else:
+                im.append(_NO_IM)
+        ends.append(len(rows))
+    return rows, re, im, ends
 
 
 def _exact_columns(spaces, regions, rows, re, im, ends):
@@ -332,9 +383,10 @@ def _refute_by_sampling(t, lhs_kind, samples, seed):
     (None, checked_count)."""
     exact_ok = t.is_exact_scalars()
     t_adj = adjoint(t)
-    clears = _window_screen(t, lhs_kind)
+    regions = _sample_region(t)
+    clears = _window_screen(t, lhs_kind, regions)
     checked = 0
-    for batch in iter_sample_vectors(t, samples, seed):
+    for batch in iter_sample_vectors(t, regions, samples, seed):
         for j in np.flatnonzero(~clears(batch.matrix)):
             v = batch.vector(j)
             if _sample_violates(t, t_adj, v, lhs_kind, exact_ok):
@@ -369,7 +421,7 @@ _SLACK = 1.0 + 1e-9        # relative slack of the per-sample float test
 _UNIT = 2.0 ** -53         # unit roundoff of a double
 
 
-def _window_screen(t, lhs_kind):
+def _window_screen(t, lhs_kind, region):
     """clears(x): mask of the columns of a batch matrix x that certainly pass
     the per-sample float test, computed with three products on one dense
     complex window W of T that holds Tx, T^2x and T*x for every candidate.
@@ -385,11 +437,14 @@ def _window_screen(t, lhs_kind):
     column is cleared when the per-sample test holds at every value within
     twice these distances of the screen's own; every other column goes
     through that test. A window with an entry that has no certified value
-    clears nothing, so the per-sample test meets that entry as before."""
-    region = _sample_region(t)
-    # the region already spans every finite-rank extent; two bandwidths
-    # beyond it hold T^2 x and, in the transposed window, T*x
-    sizes = corner_sizes(t, pad=1)
+    clears nothing, so the per-sample test meets that entry as before.
+    `region` is `_sample_region(t)`, the rows a batch matrix stands for."""
+    # the region already spans every finite-rank extent, and counting its
+    # coordinates per component gives its sizes; two bandwidths beyond it
+    # hold T^2 x and, in the transposed window, T*x
+    sizes = [0] * len(t.spaces)
+    for ci, _ in region:
+        sizes[ci] += 1
     for i in t.l2_components():
         blk = t.blocks.get((i, i))
         sizes[i] += 2 * (blk.bandwidth if blk is not None else 0)

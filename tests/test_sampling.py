@@ -21,8 +21,9 @@ from anop.blocks import BandedBlock
 from anop.diagonals import DiagonalSeq
 from anop.gallery import example2, nilpotent_pair, random_theorem_form
 from anop.operators import L2, OperatorExpr, adjoint, apply_float
-from anop.predicates import (_fnorm2, _norms2, _refute_by_sampling, _sample_region,
-                             _window_screen, paranormal_refute)
+from anop.predicates import (_NO_IM, _SUPPORT_CAP, _draw_samples, _fnorm2, _norms2,
+                             _refute_by_sampling, _sample_region, _window_screen,
+                             paranormal_refute)
 from anop.scalars import Scalar
 from anop.serialize import load, operator_from_json_dict
 from anop.vectors import VectorExpr
@@ -154,7 +155,7 @@ def test_batches_hold_the_reference_candidates():
         regions = _sample_region(t)
         expected = [VectorExpr.basis(t.spaces, ci, k) for ci, k in regions]
         expected += _reference_samples(t, 300, 7)
-        batches = list(predicates.iter_sample_vectors(t, 300, 7))
+        batches = list(predicates.iter_sample_vectors(t, regions, 300, 7))
         got = [b.vector(j) for b in batches for j in range(b.matrix.shape[1])]
         assert [_ordered_items(v) for v in got] == \
             [_ordered_items(v) for v in expected], name
@@ -166,18 +167,55 @@ def test_deferred_path_matches_reference(monkeypatch):
     # a screen that clears nothing sends every column through the
     # per-sample test, which no hyponormal workload reaches otherwise
     monkeypatch.setattr(predicates, "_window_screen",
-                        lambda t, lhs_kind: lambda x: np.zeros(x.shape[1], dtype=bool))
+                        lambda t, lhs_kind, region: lambda x: np.zeros(x.shape[1], dtype=bool))
     for name, t in CASES[::3]:
         for kind in ("T", "T*"):
             assert _outcome(_refute_by_sampling, t, kind, samples=150) == \
                 _outcome(_reference_refute, t, kind, samples=150), (name, kind)
 
 
-@pytest.mark.parametrize("build", [nilpotent_pair, example2])
+def _reference_draws(rng, nreg, m):
+    """_draw_samples(rng, nreg, m) written with the generator's own randint,
+    sample, choice and random."""
+    rows, re, im, ends = [], [], [], []
+    for _ in range(m):
+        for r in rng.sample(range(nreg), rng.randint(1, min(_SUPPORT_CAP, nreg))):
+            rows.append(r)
+            re.append(rng.choice(range(_NO_IM)))
+            im.append(rng.choice(range(_NO_IM)) if rng.random() < 0.3 else _NO_IM)
+        ends.append(len(rows))
+    return rows, re, im, ends
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 40 + 3])
+@pytest.mark.parametrize("nreg", [1, 2, 5, 6, 12, 13, 21, 22, 40, 85, 86, 200])
+def test_draws_match_random_module(nreg, seed):
+    """The sampler reads the Mersenne Twister through getrandbits and random
+    alone, reproducing what random.Random's randint, sample, choice and
+    random draw. The region sizes reach both branches of random.sample (a
+    pool while nreg <= 21, or <= 85 once k > 5; a set of selected indices
+    beyond), and equal generator states after each batch show that both
+    consume the same words. A CPython change to any of these methods fails
+    this test rather than moving sampled goldens unnoticed."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for m in (64, 128, 128):
+        assert _draw_samples(ours, nreg, m) == _reference_draws(theirs, nreg, m)
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("build", [nilpotent_pair, example2,
+                                   lambda: random_exact_operator(21),
+                                   lambda: random_exact_operator(31)],
+                         ids=["nilpotent_pair", "example2", "random operator 21",
+                              "random operator 31"])
 def test_refutation_stops_drawing(build, monkeypatch):
     # no batch after the refuting one is drawn: every random sample drawn
-    # was yielded, and the last batch yielded holds the witness
-    batches, drawn = [], []
+    # was yielded, and the last batch yielded holds the witness. The
+    # samples drawn are counted from the generator's final state, replayed
+    # one sample at a time from the seed. The first two operators refute at
+    # a basis vector, random operator 21 in the first random batch and
+    # random operator 31 in a later one.
+    batches, made = [], []
     sampler = predicates.iter_sample_vectors
 
     def counting_sampler(*args, **kwargs):
@@ -185,18 +223,27 @@ def test_refutation_stops_drawing(build, monkeypatch):
             batches.append(batch.matrix.shape[1])
             yield batch
 
-    class CountingRandom(random.Random):
-        def randint(self, a, b):
-            drawn.append(1)
-            return super().randint(a, b)
+    class RecordingRandom(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
 
-    monkeypatch.setattr(predicates, "iter_sample_vectors", counting_sampler)
-    monkeypatch.setattr(random, "Random", CountingRandom)
     t = build()
-    verdict = paranormal_refute(t, samples=10 ** 6)
+    nreg = len(_sample_region(t))
+    replay = random.Random(42)
+    monkeypatch.setattr(predicates, "iter_sample_vectors", counting_sampler)
+    monkeypatch.setattr(random, "Random", RecordingRandom)
+    verdict = paranormal_refute(t, samples=10 ** 6, seed=42)
     assert verdict.status == "Refuted"
     assert sum(batches[:-1]) < verdict.evidence["checked"] <= sum(batches)
-    assert len(drawn) == max(0, sum(batches) - len(_sample_region(t)))
+    assert len(made) <= 1
+    drawn = 0
+    for rng in made:
+        while replay.getstate() != rng.getstate():
+            _reference_draws(replay, nreg, 1)
+            drawn += 1
+            assert drawn <= sum(batches)
+    assert drawn == max(0, sum(batches) - nreg)
 
 
 def test_screen_defers_columns_within_rounding_of_threshold():
@@ -210,7 +257,33 @@ def test_screen_defers_columns_within_rounding_of_threshold():
     t = OperatorExpr((L2,), {(0, 0): BandedBlock(
         {1: DiagonalSeq([Scalar.inexact(1.0)], Scalar.inexact(w))})})
     x = np.eye(len(_sample_region(t)), dtype=complex)
-    cleared = _window_screen(t, "T")(x)
+    cleared = _window_screen(t, "T", _sample_region(t))(x)
     assert not cleared[0]
     assert cleared[1:].all()
     assert _outcome(_refute_by_sampling, t, "T") == (None, SAMPLES + len(x))
+
+
+def test_predicates_reads_random_through_getrandbits_only():
+    """predicates.py draws its samples through the generator's getrandbits
+    and random; a reference to randint, randrange, sample or choice, called
+    directly or bound to a name first, would bring back the random.py frames
+    per coordinate that the sampler avoids."""
+    import ast
+    import anop
+
+    banned = {"randint", "randrange", "sample", "choice"}
+
+    def uses(source):
+        found = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and node.attr in banned:
+                found.append(node.attr)
+            elif isinstance(node, ast.Name) and node.id in banned:
+                found.append(node.id)
+        return found
+
+    probe = ("k = rng.randint(1, 3)\ndraw = rng.sample\nx = random.choice(g)\n"
+             "y = randrange(5)\nz = rng.getrandbits(5) + rng.random()\n")
+    assert sorted(uses(probe)) == ["choice", "randint", "randrange", "sample"]
+    source = (Path(anop.__file__).parent / "predicates.py").read_text()
+    assert uses(source) == []
