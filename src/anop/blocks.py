@@ -29,9 +29,6 @@ class BandedBlock:
     def adjoint(self):
         return BandedBlock({-j: d.conjugated() for j, d in self.diagonals.items()})
 
-    def scaled(self, coeff):
-        return BandedBlock({j: d.scaled(coeff) for j, d in self.diagonals.items()})
-
     def is_zero(self):
         return not self.diagonals
 
@@ -45,9 +42,6 @@ class BandedBlock:
         """Smallest n such that rows/cols >= n only see tail entries."""
         return max((len(d.prefix) + abs(j) for j, d in self.diagonals.items()),
                    default=0)
-
-    def sup_norm_bound(self):
-        return sum(d.sup_bound() for d in self.diagonals.values())
 
     def absorb_entries(self, entries):
         """Return a BandedBlock equal to self plus sparse corner entries."""
@@ -87,15 +81,8 @@ class FiniteRankBlock:
                         for (r, c), v in entries.items()
                         if not Scalar.of(v).is_zero()}
 
-    def entry(self, r, c):
-        return self.entries.get((r, c), ZERO)
-
     def adjoint(self):
         return FiniteRankBlock({(c, r): v.conj() for (r, c), v in self.entries.items()})
-
-    def scaled(self, coeff):
-        coeff = Scalar.of(coeff)
-        return FiniteRankBlock({rc: coeff * v for rc, v in self.entries.items()})
 
     def is_zero(self):
         return not self.entries
@@ -108,9 +95,6 @@ class FiniteRankBlock:
 
     def col_extent(self):
         return max((c + 1 for (_, c) in self.entries), default=0)
-
-    def sup_norm_bound(self):
-        return sum(abs(v) for v in self.entries.values())
 
     def structurally_equal(self, other):
         if set(self.entries) != set(other.entries):
@@ -133,9 +117,6 @@ class DenseBlock:
     def zeros(cls, nrows, ncols):
         return cls([[ZERO] * ncols for _ in range(nrows)], nrows, ncols)
 
-    def entry(self, r, c):
-        return self.matrix[r][c]
-
     def adjoint(self):
         return DenseBlock([[self.matrix[r][c].conj() for r in range(self.nrows)]
                            for c in range(self.ncols)], self.ncols, self.nrows)
@@ -150,10 +131,6 @@ class DenseBlock:
 
     def is_exact_scalars(self):
         return all(v.is_exact for row in self.matrix for v in row)
-
-    def sup_norm_bound(self):
-        import math
-        return math.sqrt(sum(float(v.abs2().re) for row in self.matrix for v in row))
 
     def structurally_equal(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:

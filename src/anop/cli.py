@@ -18,6 +18,7 @@ inputs produce byte-identical JSON.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import traceback
@@ -51,9 +52,10 @@ class RunConfig:
     output: str = "text"
 
     def validate(self):
-        if self.tol <= 0 or self.trunc <= 0 or self.samples <= 0 or \
+        if not 0 < self.tol < math.inf or self.trunc <= 0 or self.samples <= 0 or \
            self.seed < 0 or self.k_grid <= 0 or self.max_peel <= 0:
-            raise ValueError("run configuration values must be positive")
+            raise ValueError("run configuration values must be positive, "
+                             "and tol finite")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -28,7 +28,7 @@ from .errors import (HypothesisFailed, InfiniteH2, NotAN, NotInvertible,
                      StarParanormalRefuted, StructureViolation)
 from .exactla import inverse as exact_inverse
 from .operators import (L2, OperatorExpr, adjoint, apply, corner_sizes,
-                        dense_window, finite, identity_like, multiply,
+                        dense_window, finite, identity_operator, multiply,
                         ops_equal_exact, truncate, window_layout, window_sizes)
 from .predicates import (NUMERICAL, PROVEN, REFUTED, PredicateVerdict,
                          _commutator, _jsonable, an_check, compute_M_and_Mstar,
@@ -333,7 +333,7 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
         peeled.append(lvl)
 
     # tail (none without an essential spectrum: m_e then defaults to 0.0)
-    h2 = summary_eigenspace(s_qq, s_q.m_e, tol) if s_q.ess \
+    h2 = summary_eigenspace(s_qq, s_q.m_e) if s_q.ess \
         else Subspace.zero(t.spaces)
     tail = None
     iso_res = 0.0
@@ -437,8 +437,8 @@ def _unitary_level(t, s_q, s_qq, v2, tol):
     """(PeeledLevel, None) when T is a scaled unitary on the common
     eigenspace of T*T and TT* at v2, else (None, reason)."""
     lam = math.sqrt(max(float(v2), 0.0))
-    g1 = summary_eigenspace(s_q, v2, tol)
-    g2 = summary_eigenspace(s_qq, v2, tol)
+    g1 = summary_eigenspace(s_q, v2)
+    g2 = summary_eigenspace(s_qq, v2)
     eq, res = g1.equals(g2, tol)
     if not eq:
         return None, (f"eigenspaces of |T| and |T*| differ at value {lam:.12g} "
@@ -537,11 +537,6 @@ class BlockInverse:
     residual: float
     exact: bool
 
-    def to_json(self):
-        return {"y_columns": [v.to_json() for v in self.y_cols],
-                "c_inverse": _jsonable(self.c_inv),
-                "residual": self.residual, "exact": self.exact}
-
 
 def assemble_upper(a, b_cols, c_rows):
     """[[a, b], [0, c]] over a.spaces + one finite component."""
@@ -590,7 +585,7 @@ def _structural_inverse(a):
         return _dense_to_op(a.spaces, labels, inv), exact
     q = gram(a)
     qq = cogram(a)
-    ident = identity_like(a)
+    ident = identity_operator(a.spaces)
     for alpha2 in _constant_candidates(q):
         scaled_id = ident.scaled(alpha2)
         if ops_equal_exact(q, scaled_id) and ops_equal_exact(qq, scaled_id):
@@ -648,7 +643,7 @@ def block_upper_inverse(a, b_cols, c_rows, tol=1e-10):
     inv_op = assemble_upper(a_inv, y_cols, c_inv)
     left = multiply(assembled, inv_op)
     right = multiply(inv_op, assembled)
-    ident = identity_like(assembled)
+    ident = identity_operator(assembled.spaces)
     exact = a_exact and c_exact and assembled.is_exact_scalars()
     if exact and ops_equal_exact(left, ident) and ops_equal_exact(right, ident):
         residual = 0.0
@@ -679,7 +674,7 @@ def coupling_vanishes(a, b_cols, c_rows, tol=1e-10, alpha=None):
     s_op = a.scaled(Scalar.exact(1) / alpha if alpha.is_exact
                     else Scalar.inexact(1.0 / float(alpha.re)))
     q = gram(s_op)
-    ident = identity_like(a)
+    ident = identity_operator(a.spaces)
     if a.is_exact_scalars() and alpha.is_exact:
         if not ops_equal_exact(q, ident):
             raise HypothesisFailed("the (1,1) block is not isometric")
@@ -752,7 +747,7 @@ def certify_normal(t, tol=1e-10, samples=2000, seed=42, trunc=256, max_peel=64):
     if not weyl_ok:
         details["is_normal"] = is_normal(t).status
         return NormalityCertificate("NotApplicable", False, float("nan"), details)
-    kernel = summary_eigenspace(msum.base, Scalar.exact(0), tol)
+    kernel = summary_eigenspace(msum.base, Scalar.exact(0))
     restricted = compress_to_complement(t, kernel)
     details["restricted_spaces"] = [s.kind for s in restricted.spaces]
     sub = certify_normal(restricted, tol, samples, seed, trunc, max_peel)

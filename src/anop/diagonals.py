@@ -124,20 +124,6 @@ class DiagonalSeq:
 
     # -- pointwise rebuild ops ------------------------------------------------
 
-    def scaled(self, c):
-        c = Scalar.of(c)
-        pre = [c * v for v in self.prefix]
-        if self.rule is not None:
-            if c.is_exact and c.is_real():
-                return DiagonalSeq(pre, rule=self.rule.scale(Fraction(c.re)))
-            # non-real or floating coefficient: keep the envelope only
-            return DiagonalSeq(pre, c * self.limit,
-                               decay=(self.decay[0] * abs(c), self.decay[1]))
-        if self.decay is not None:
-            return DiagonalSeq(pre, c * self.limit,
-                               decay=(self.decay[0] * abs(c), self.decay[1]))
-        return DiagonalSeq(pre, c * self.limit)
-
     def conjugated(self):
         pre = [v.conj() for v in self.prefix]
         # rules are real valued, conjugation leaves them alone

@@ -1,8 +1,8 @@
 """Exact linear algebra over rational-complex scalars.
 
 Matrices are lists of lists of exact Scalars. Used for corner kernels,
-eigenvalue verification, inverses and PSD decisions with witnesses; float
-work lives in the jacobi module instead.
+inverses and PSD decisions with witnesses; float work lives in the jacobi
+module instead.
 
 Kernels, ranks and inverses of exact matrices come from one elimination core
 that works on Python int pairs, the Gaussian integers Z[i], and builds no
@@ -332,8 +332,3 @@ def quad_form(m, x):
     for xi, yi in zip(x, mx):
         acc = acc + xi.conj() * yi
     return acc
-
-
-def verify_eigenvalue(m, lam):
-    """Exact kernel basis of (m - lam I); empty list means not an eigenvalue."""
-    return kernel_basis(mat_sub_diag(m, Scalar.of(lam)))

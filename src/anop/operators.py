@@ -87,19 +87,8 @@ class OperatorExpr:
 
     # -- access ---------------------------------------------------------------
 
-    def block(self, i, j):
-        return self.blocks.get((i, j))
-
     def l2_components(self):
         return [i for i, s in enumerate(self.spaces) if s.kind == "l2"]
-
-    def entry(self, pos_r, pos_c):
-        """Exact entry at global position ((comp_i, r), (comp_j, c))."""
-        (i, r), (j, c) = pos_r, pos_c
-        blk = self.blocks.get((i, j))
-        if blk is None:
-            return ZERO
-        return blk.entry(r, c)
 
     # -- tier predicates --------------------------------------------------------
 
@@ -121,14 +110,8 @@ class OperatorExpr:
     def __sub__(self, other):
         return combine([(Scalar.exact(1), self), (Scalar.exact(-1), other)])
 
-    def __matmul__(self, other):
-        return multiply(self, other)
-
     def scaled(self, c):
         return combine([(Scalar.of(c), self)])
-
-    def adjoint(self):
-        return adjoint(self)
 
     def __repr__(self):
         parts = [f"{i},{j}:{type(b).__name__}" for (i, j), b in sorted(self.blocks.items())]
@@ -160,11 +143,11 @@ def identity_operator(spaces):
     return OperatorExpr(spaces, blocks)
 
 
-def identity_like(op):
-    return identity_operator(op.spaces)
-
-
 # -- combine -------------------------------------------------------------------
+
+_ADD = {BandedBlock: add_banded, FiniteRankBlock: add_finite_rank,
+        DenseBlock: add_dense}
+
 
 def combine(terms):
     """Entrywise linear combination of [(coeff, OperatorExpr)]."""
@@ -178,21 +161,12 @@ def combine(terms):
     positions = set()
     for _, op in terms:
         positions.update(op.blocks)
+    # OperatorExpr fixes a block's kind by its position, so the parts at one
+    # position share a kind
     blocks = {}
     for pos in positions:
         parts = [(c, op.blocks[pos]) for c, op in terms if pos in op.blocks]
-        kinds = {type(b) for _, b in parts}
-        if kinds == {BandedBlock}:
-            blocks[pos] = add_banded(parts)
-        elif kinds == {FiniteRankBlock}:
-            blocks[pos] = add_finite_rank(parts)
-        elif kinds == {DenseBlock}:
-            blocks[pos] = add_dense(parts)
-        else:
-            banded = [(c, b) for c, b in parts if isinstance(b, BandedBlock)]
-            sparse = [(c, b) for c, b in parts if isinstance(b, FiniteRankBlock)]
-            acc = add_banded(banded)
-            blocks[pos] = acc.absorb_entries(add_finite_rank(sparse).entries)
+        blocks[pos] = _ADD[type(parts[0][1])](parts)
     return OperatorExpr(spaces, blocks)
 
 
@@ -326,10 +300,9 @@ def _banded_product_entry(a, b, r, c):
 def _sparse_entries(blk):
     if isinstance(blk, FiniteRankBlock):
         return blk.entries
-    if isinstance(blk, DenseBlock):
-        return {(r, c): v for r, row in enumerate(blk.matrix)
-                for c, v in enumerate(row) if not v.is_zero()}
-    raise TypeError
+    # a DenseBlock
+    return {(r, c): v for r, row in enumerate(blk.matrix)
+            for c, v in enumerate(row) if not v.is_zero()}
 
 
 def _mul_banded_sparse(a, entries):
@@ -599,11 +572,6 @@ def direct_sum(*ops):
         for (i, j), b in op.blocks.items():
             blocks[(i + off, j + off)] = b
     return OperatorExpr(spaces, blocks)
-
-
-def op_sup_norm_bound(op):
-    """Cheap upper bound on the operator norm."""
-    return sum(b.sup_norm_bound() for b in op.blocks.values()) or 0.0
 
 
 def ops_equal_exact(a, b):

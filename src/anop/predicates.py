@@ -513,9 +513,10 @@ def star_paranormal_check(t, tol=1e-10, k_grid=64, samples=100000, seed=42,
     """Three stages: structural proof via hyponormality, exact refutation by
     sampling, then PSD evidence for T*^2 T^2 - 2k TT* + k^2 I on sections
     over a geometric k-grid. Stage 3 checks the least eigenvalue of each
-    k-section and never proves; when both sections are diagonal, as for a
-    weighted shift, it reads those eigenvalues off the diagonal instead of
-    calling the dense eigensolver, with the same bits."""
+    k-section and never proves, also when ||T||^2 underflows to 0.0 and no
+    k-grid can be built; when both sections are diagonal, as for a weighted
+    shift, it reads those eigenvalues off the diagonal instead of calling the
+    dense eigensolver, with the same bits."""
     hypo = hyponormal_check(t, tol)
     if hypo.status == PROVEN:
         return PredicateVerdict("star_paranormal", PROVEN,
@@ -534,8 +535,11 @@ def star_paranormal_check(t, tol=1e-10, k_grid=64, samples=100000, seed=42,
     tts = cogram(t)
     norm2 = modulus_summary(t, tol, trunc).norm ** 2
     if norm2 <= 0:
-        return PredicateVerdict("star_paranormal", PROVEN,
-                                evidence={"rule": "zero operator"},
+        # stage 1 proves the zero operator, so ||T||^2 underflowed to 0.0
+        return PredicateVerdict("star_paranormal", NUMERICAL,
+                                evidence={"rule": "||T||^2 underflows to 0.0 in floats, "
+                                                  "no k-grid; no sampled witness",
+                                          "stage": 3, "samples": checked, "seed": seed},
                                 tolerances={"tol": tol})
     n_sec = max(max(corner_sizes(s4)) + 4, min(trunc, 192))
     sec4 = truncate(s4, n_sec).matrix
@@ -639,7 +643,7 @@ def norm_attaining_check(t, tol=1e-10, trunc=256):
     """Proven iff ||T||^2 is attained by an eigenspace of T*T."""
     s = modulus_summary(t, tol, trunc).base
     norm2 = s.norm
-    space = summary_eigenspace(s, norm2, tol)
+    space = summary_eigenspace(s, norm2)
     if not space.is_zero():
         return PredicateVerdict(
             "norm_attaining", PROVEN, subspace=space,
@@ -719,7 +723,7 @@ def compute_M_and_Mstar(t, tol=1e-10, trunc=256):
         raise NotNormAttaining("operator does not attain its norm")
     m_space = na.subspace
     s2 = adjoint_modulus_summary(t, tol, trunc).base
-    return m_space, summary_eigenspace(s2, s2.norm, tol).intersect(m_space)
+    return m_space, summary_eigenspace(s2, s2.norm).intersect(m_space)
 
 
 # -- witness re-validation -----------------------------------------------------------------

@@ -277,15 +277,6 @@ class EigStream:
     start: int
     fn: RationalFn
 
-    def value(self, k):
-        return self.fn.eval(k)
-
-    def limit(self):
-        return self.fn.limit()
-
-    def monotone(self):
-        return self.fn.monotone_from(self.start)
-
     def count_below(self, bound):
         """#{k >= start: fn(k) < bound}; int, 'infinite' or 'unknown'. A
         count n means the values below the bound are those at start..start+n-1.
@@ -296,9 +287,9 @@ class EigStream:
         if len(runs) == 1:
             return 0 if runs[0][1] >= 0 else "infinite"
         # mixed signs: a decreasing stream would end below the bound
-        if self.limit() < bound:
+        if self.fn.limit() < bound:
             return "infinite"
-        if self.monotone() != "inc":
+        if self.fn.monotone_from(self.start) != "inc":
             return "unknown"
         # entries climb past the bound; count the initial run below it
         count = runs[1][0] - self.start if runs[0][1] < 0 else 0
@@ -423,7 +414,7 @@ def _structured_summary(s, classes, trunc):
         if float(c0.re) < -tol:
             raise NotPositive(f"component {i} tail constant {float(c0.re):.3g} < 0")
     for st in s.streams:
-        if st.fn.sign_from(st.start) == -1 or float(st.limit()) < -tol:
+        if st.fn.sign_from(st.start) == -1 or float(st.fn.limit()) < -tol:
             raise NotPositive("stream entries negative")
     # exact eigen refinement on the corner
     exact_values = {}
@@ -488,7 +479,7 @@ def _structured_summary(s, classes, trunc):
     # stream values listed (capped) for reporting
     for st in s.streams:
         for k in range(st.start, st.start + min(trunc, 64)):
-            s.discrete.append(DiscreteEig(st.value(k), 1, source="stream"))
+            s.discrete.append(DiscreteEig(st.fn.eval(k), 1, source="stream"))
     s.discrete.sort(key=lambda d: -float(d.value))
     # norm / m / m_e from the refined corner entries, the tail constants and
     # the exact stream extremes; the norm is exact when the largest exact
@@ -562,10 +553,10 @@ def _symbolic_summary(s, classes, trunc):
 
 # -- eigenspaces ---------------------------------------------------------------------
 
-def summary_eigenspace(s, value, tol=None):
-    """N(p - value I) as a Subspace (exact wherever the data allows)."""
-    tol = tol if tol is not None else s.tol
-    p = s.op
+def summary_eigenspace(s, value):
+    """N(p - value I) as a Subspace (exact wherever the data allows), with
+    the tolerance the summary was built with."""
+    p, tol = s.op, s.tol
     value = Scalar.of(value).re
     exact_val = value if isinstance(value, Fraction) else None
     vf = float(value)
@@ -720,28 +711,28 @@ def positive_an_diagonalize(p, tol=1e-10, trunc=256, max_stream=64):
     for d in s.discrete:
         if d.source != "corner":
             continue
-        pairs.append((float(d.value), summary_eigenspace(s, d.value, tol)))
+        pairs.append((float(d.value), summary_eigenspace(s, d.value)))
     for st in s.streams:
         for k in range(st.start, st.start + max_stream):
-            pairs.append((float(st.value(k)),
+            pairs.append((float(st.fn.eval(k)),
                           Subspace.span(p.spaces, [VectorExpr.basis(p.spaces, st.comp, k)])))
         truncated = True
     c0_vals = sorted({float(c.re) for c in s.c0s.values()}, reverse=True)
     inf_val = c0_vals[0] if c0_vals else None
     if inf_val is not None:
         exacts = [c for c in s.c0s.values() if abs(float(c.re) - inf_val) < 1e-12]
-        pairs.append((inf_val, summary_eigenspace(s, exacts[0], tol)))
+        pairs.append((inf_val, summary_eigenspace(s, exacts[0])))
     pairs.sort(key=lambda t: -t[0])
     limit_point = None
     approached_increasing = None
     if s.streams:
-        lims = sorted({float(st.limit()) for st in s.streams})
+        lims = sorted({float(st.fn.limit()) for st in s.streams})
         limit_point = lims[0] if len(lims) == 1 else lims
-        monos = {st.monotone() for st in s.streams}
+        monos = {st.fn.monotone_from(st.start) for st in s.streams}
         approached_increasing = monos == {"inc"}
     clauses = {
         "sup_attained_in_every_subset": not s.streams or
-            all(st.monotone() == "dec" for st in s.streams),
+            all(st.fn.monotone_from(st.start) == "dec" for st in s.streams),
         "at_most_one_limit_point": not isinstance(limit_point, list),
         "limit_approached_increasing": approached_increasing,
         "at_most_one_infinite_multiplicity": len(c0_vals) <= 1,
@@ -770,7 +761,7 @@ class KernelDims:
                 "tier": self.tier}
 
 
-def _kernel_dim_of_positive(s, tol):
+def _kernel_dim_of_positive(s):
     """(dimension, exact?) of the kernel of the operator summarised by s."""
     if s._path != "structured":
         raise UncertifiedTail(
@@ -779,12 +770,12 @@ def _kernel_dim_of_positive(s, tol):
     for i, c0 in s.c0s.items():
         if c0.is_exact and Fraction(c0.re) == 0:
             return "infinite", True
-        if not c0.is_exact and abs(float(c0.re)) <= tol:
+        if not c0.is_exact and abs(float(c0.re)) <= s.tol:
             return "undetermined", False
     for st in s.streams:
         if st.fn.zeros_from(st.start) is None:
             return "infinite", True
-    sp = summary_eigenspace(s, Scalar.exact(0), tol)
+    sp = summary_eigenspace(s, Scalar.exact(0))
     d = sp.dim()
     if d is None:
         return "infinite", True
@@ -795,7 +786,7 @@ def kernel_dims(t, tol=1e-10, trunc=256):
     """dim N(T) and dim N(T*) through the zero eigenspaces of T*T and TT*."""
     s_q = modulus_summary(t, tol, trunc).base
     s_qq = adjoint_modulus_summary(t, tol, trunc).base
-    d1, e1 = _kernel_dim_of_positive(s_q, tol)
-    d2, e2 = _kernel_dim_of_positive(s_qq, tol)
+    d1, e1 = _kernel_dim_of_positive(s_q)
+    d2, e2 = _kernel_dim_of_positive(s_qq)
     exact = e1 and e2 and t.is_exact_scalars()
     return KernelDims(d1, d2, "exact" if exact else "numerical")

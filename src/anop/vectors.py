@@ -61,13 +61,10 @@ class VectorExpr:
     def get(self, ci, k):
         return self.data[ci].get(k, ZERO)
 
-    def map_values(self, f):
-        return VectorExpr(self.shape, [{k: f(v) for k, v in d.items()}
-                                       for d in self.data])
-
     def scaled(self, c):
         c = Scalar.of(c)
-        return self.map_values(lambda v: c * v)
+        return VectorExpr(self.shape, [{k: c * v for k, v in d.items()}
+                                       for d in self.data])
 
     def __add__(self, other):
         if self.shape != other.shape:

@@ -12,7 +12,8 @@ import pytest
 
 from anop.cli import main
 from anop.gallery import diag_operator, example2, nilpotent_pair
-from anop.operators import adjoint
+from anop.blocks import FiniteRankBlock
+from anop.operators import L2, OperatorExpr, adjoint
 from anop.ratfn import RationalFn
 from anop.serialize import serialize
 
@@ -299,6 +300,30 @@ def test_usage_error_exit_64():
     with pytest.raises(SystemExit) as exc:
         run_cli(["check", "x.json", "--predicate", "bogus"])
     assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_tol_not_finite_exit_64(tmp_path, capsys, tol):
+    # nan <= 0 is False, so a bare sign test lets nan through
+    p = tmp_path / "ex1.json"
+    p.write_text(run_cli(["gallery", "example1"])[1])
+    code, out = run_cli(["decompose", str(p), "--tol", tol])
+    assert code == 64 and out == ""
+    assert "tol finite" in capsys.readouterr().err
+
+
+def test_star_paranormal_norm_underflow_is_numerical(tmp_path):
+    # T = 10^-200 e0 (x) e1*: T^2 = 0 and ||T*e0||^2 = 10^-400 > 0, so T is
+    # not star-paranormal, but ||T||^2 rounds to 0.0 as a float
+    t = OperatorExpr((L2,), {(0, 0): FiniteRankBlock({(0, 1): Fraction(1, 10 ** 200)})})
+    p = tmp_path / "tiny.json"
+    p.write_text(serialize(t))
+    code, out = run_cli(["check", str(p), "--predicate", "star-paranormal",
+                         "--samples", "200", "--json"])
+    report = json.loads(out)["report"]
+    assert code == 2 and report["status"] == "Numerical"
+    assert report["evidence"]["stage"] == 3
+    assert "underflows" in report["evidence"]["rule"]
 
 
 def test_parser_built_once_per_process(shift_file, capsys):

@@ -7,8 +7,8 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from anop.exactla import (_full_column_rank_mod_p, _gaussian_rows, _rref, inverse,
-                          kernel_basis, mat_copy, mat_mul, mat_vec, psd_decide,
-                          quad_form, rank, verify_eigenvalue)
+                          kernel_basis, mat_copy, mat_mul, mat_sub_diag, mat_vec,
+                          psd_decide, quad_form, rank)
 from anop.scalars import Scalar
 from conftest import rand_scalar
 
@@ -97,11 +97,15 @@ def test_inverse_exact():
     assert done >= 35
 
 
-def test_verify_eigenvalue_is_exact():
+def test_eigenvalue_kernel_is_exact():
+    # the spectral summaries test an exact eigenvalue candidate lam by the
+    # kernel of m - lam I
     m = [[Scalar.exact(2), Scalar.exact(1)], [Scalar.exact(1), Scalar.exact(2)]]
-    assert verify_eigenvalue(m, Fraction(3))
-    assert verify_eigenvalue(m, Fraction(1))
-    assert not verify_eigenvalue(m, Fraction(2))
+    for lam in (3, 1):
+        ker = kernel_basis(mat_sub_diag(m, Scalar.exact(lam)))
+        assert len(ker) == 1
+        assert mat_vec(m, ker[0]) == [Scalar.exact(lam) * v for v in ker[0]]
+    assert kernel_basis(mat_sub_diag(m, Scalar.exact(2))) == []
 
 
 def test_kernel_of_no_rows_is_the_unit_basis():

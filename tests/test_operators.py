@@ -230,16 +230,6 @@ def test_apply_shape_mismatch():
         apply(t, VectorExpr((L2,), [{0: Scalar.exact(1)}]))
 
 
-def test_sup_norm_bound_dominates_sections():
-    from anop.operators import op_sup_norm_bound
-    import numpy as np
-    for seed in range(6):
-        a = random_exact_operator(seed + 200)
-        bound = op_sup_norm_bound(a)
-        sec = truncate(a, 24).matrix
-        assert np.linalg.norm(sec, 2) <= bound + 1e-9
-
-
 def test_rule_tier_double_product_matches_sections():
     # (T*T)(TT*) for the weighted-shift example, checked on the interior of
     # a 40-wide window against the product of dense sections

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from anop.blocks import BandedBlock, FiniteRankBlock
+from anop.blocks import BandedBlock, DenseBlock, FiniteRankBlock
 from anop.diagonals import DiagonalSeq
 from anop.errors import NotNormAttaining
 from anop.gallery import (diag_operator, example1, example2, flip_unitary,
                           jacobi_operator, nilpotent_pair, right_shift)
-from anop.operators import (L2, OperatorExpr, adjoint, apply, direct_sum,
+from anop.operators import (L2, OperatorExpr, adjoint, apply, direct_sum, finite,
                             identity_operator, multiply, truncate)
 from anop.predicates import (_real_diagonal, _section, _section_min_eigs, an_check,
                              compute_M_and_Mstar, hyponormal_check, is_normal,
@@ -60,6 +60,22 @@ def test_hyponormal_shift_and_its_adjoint():
     v = hyponormal_check(adjoint(right_shift()))
     assert v.status == "Refuted" and v.witness.support() == [(0, 0)]
     assert revalidate_witness(v, adjoint(right_shift()))
+
+
+def test_hyponormal_float_corner_refuted():
+    # on float data the corner of T*T - TT* goes to the eigensolver: for
+    # S*/2 it is diag(-1/4, 0, ...)
+    t = adjoint(right_shift()).scaled(0.5)
+    v = hyponormal_check(t)
+    assert v.status == "Refuted" and v.evidence["min_eig"] == -0.25
+    assert revalidate_witness(v, t)
+
+
+def test_is_normal_float_window_difference_small():
+    t = OperatorExpr((finite(2),), {(0, 0): DenseBlock([[1.0, 1e-12], [0.0, 2.0]])})
+    v = is_normal(t)
+    assert v.status == "Numerical"
+    assert v.evidence["window_norm"] == pytest.approx(2 ** 0.5 * 1e-12, rel=1e-6)
 
 
 def test_hyponormal_example1_decided_exactly():
