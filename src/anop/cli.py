@@ -8,8 +8,9 @@ anop certify FILE                    exit 0 normal proven, 2 not applicable,
 anop audit
 anop gallery NAME                    operator file on stdout
 
-Any command may also exit 3 (not self-adjoint), 64 (usage), 65 (parse error)
-or 70 (internal error, traceback on stderr); a crash never exits 1.
+Any command may also exit 3 (not self-adjoint), 64 (usage), 65 (parse error),
+70 (internal error, traceback on stderr) or 74 (stdout closed by its reader
+before the report was written); a crash never exits 1.
 
 Reports embed the full run configuration and the tool version; identical
 inputs produce byte-identical JSON.
@@ -39,6 +40,7 @@ EXIT_STRUCTURE = 4
 EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_INTERNAL = 70
+EXIT_IOERR = 74
 
 
 @dataclass
@@ -272,7 +274,9 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except SystemExit as exc:
         return exc.code
     except NotSelfAdjoint as exc:
@@ -284,6 +288,12 @@ def main(argv=None):
         if args.func in (cmd_decompose, cmd_certify) and isinstance(exc, structural):
             return EXIT_STRUCTURE
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, where the flush at exit cannot fail
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("anop: stdout was closed before the report was written", file=sys.stderr)
+        return EXIT_IOERR
     except Exception as exc:
         # numpy's LinAlgError is a ValueError, but not a usage error
         if isinstance(exc, ValueError) and not isinstance(exc, LinAlgError):

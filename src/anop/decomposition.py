@@ -659,18 +659,16 @@ def block_upper_inverse(a, b_cols, c_rows, tol=1e-10):
     return BlockInverse(a_inv, y_cols, c_inv, residual, exact)
 
 
-def coupling_vanishes(a, b_cols, c_rows, tol=1e-10, alpha=None):
+def coupling_vanishes(a, b_cols, c_rows, tol=1e-10):
     """Certifies b = 0 for an invertible [[alpha S, b], [0, c]] with S an
     isometry and S*b = 0. Once the (1,1) block is a scaled isometry,
     block_upper_inverse decides invertibility, and exact data decides
     S*b = 0 and b = 0 exactly (float data within tol, and only Numerical)."""
-    if alpha is None:
-        alpha = next(_constant_candidates(gram(a)))
-        alpha = scalar_sqrt(alpha) if alpha.is_real() else None
-    if alpha is None or float(Scalar.of(alpha).re) <= 0:
+    alpha = next(_constant_candidates(gram(a)))
+    alpha = scalar_sqrt(alpha) if alpha.is_real() else None
+    if alpha is None or float(alpha.re) <= 0:
         raise HypothesisFailed("the (1,1) block is not a positive multiple "
                                "of an isometry")
-    alpha = Scalar.of(alpha)
     s_op = a.scaled(Scalar.exact(1) / alpha if alpha.is_exact
                     else Scalar.inexact(1.0 / float(alpha.re)))
     q = gram(s_op)

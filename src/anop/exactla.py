@@ -4,27 +4,17 @@ Matrices are lists of lists of exact Scalars. Used for corner kernels,
 inverses and PSD decisions with witnesses; float work lives in the jacobi
 module instead.
 
-Kernels, ranks and inverses of exact matrices come from one elimination core
-that works on Python int pairs, the Gaussian integers Z[i], and builds no
-Fraction: it reads the int fields of exact Scalars and writes its answer
-into them.
+Every kernel, rank and inverse of an exact matrix comes from elimination
+alone, in one core that works on Python int pairs, the Gaussian integers
+Z[i], and builds no Fraction: it reads the int fields of exact Scalars and
+writes its answer into them.
 
 - Each row is scaled by the lcm of its entries' denominators. An exact
   Scalar keeps one denominator for both parts, so this is the lcm of those
   single denominators. Scaling rows by nonzero constants leaves the reduced
   row echelon form unchanged, and with it the kernel, the rank and the
   inverse (read off [A | I]).
-- Screen (kernels only). The integer rows are reduced mod p = 2**61 - 1.
-  Since p = 3 (mod 4), -1 is not a square mod p, so Z[i]/(p) is the field
-  F_{p^2} and elimination there computes a rank. Reduction mod p is a ring
-  map, so it sends every minor to the same minor mod p: a maximal minor that
-  is nonzero mod p is nonzero over Q(i). Full column rank mod p is therefore
-  a proof that the kernel is empty, and the kernel is returned empty without
-  exact work. When the screen finds a column without a pivot it proves
-  nothing (p may divide every maximal minor, as for [[p]]), and the exact
-  step decides. No denominator is ever inverted mod p, since the rows are
-  integral by then, so a denominator divisible by p needs no special case.
-- Exact step. Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
+- Elimination. Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
   22, 1968; Nakos, Turner and Williams, SIGSAM Bull. 31, 1997) with the
   pivot rule of the reference `_rref`: the first nonzero entry of the column.
   Every entry stays, up to sign, a minor of the scaled matrix, so each
@@ -42,9 +32,6 @@ import math
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, _reduced
-
-# the screen's prime, 3 mod 4 so that Z[i]/(p) is a field
-_P = 2 ** 61 - 1
 
 
 def mat_copy(m):
@@ -123,32 +110,6 @@ def _gaussian_rows(m):
     return out
 
 
-def _full_column_rank_mod_p(rows, ncols):
-    """True when the first ncols columns of the Gaussian-integer rows have
-    full column rank in F_{p^2}, which proves they have it over Q(i)."""
-    n = len(rows)
-    if n < ncols:
-        return False
-    m = [[(a % _P, b % _P) for a, b in row[:ncols]] for row in rows]
-    for c in range(ncols):
-        pr = next((i for i in range(c, n) if m[i][c] != (0, 0)), None)
-        if pr is None:
-            return False
-        m[c], m[pr] = m[pr], m[c]
-        pa, pb = m[c][c]
-        # 1/(pa + i pb) = (pa - i pb)/(pa^2 + pb^2); the norm is nonzero mod p
-        s = pow(pa * pa + pb * pb, -1, _P)
-        ia, ib = pa * s % _P, -pb * s % _P
-        ptail = [((xa * ia - xb * ib) % _P, (xa * ib + xb * ia) % _P)
-                 for xa, xb in m[c][c + 1:]]
-        for i in range(c + 1, n):
-            fa, fb = m[i][c]
-            if fa or fb:
-                m[i][c + 1:] = [((xa - fa * ya + fb * yb) % _P, (xb - fa * yb - fb * ya) % _P)
-                                for (xa, xb), (ya, yb) in zip(m[i][c + 1:], ptail)]
-    return True
-
-
 def _exact_quotients(pairs, qa, qb):
     """The Gaussian integers in pairs divided by qa + i qb, each division
     known to be exact."""
@@ -190,17 +151,14 @@ def _fraction_free_gauss_jordan(rows, ncols):
     return piv_cols, (qa, qb)
 
 
-def _row_reduce(m, ncols, screen=False):
+def _row_reduce(m, ncols):
     """Reduced row echelon form R of m, pivots sought in its first ncols
-    columns, as (pivot columns, entry) with entry(r, c) the Scalar R[r][c].
-    With screen, None when m is exact and has full column rank mod p."""
+    columns, as (pivot columns, entry) with entry(r, c) the Scalar R[r][c]."""
     if not all(v.is_exact for row in m for v in row):
         work = mat_copy(m)
         piv = _rref(work, ncols)
         return piv, lambda r, c: work[r][c]
     rows = _gaussian_rows(m)
-    if screen and _full_column_rank_mod_p(rows, ncols):
-        return None
     piv, (qa, qb) = _fraction_free_gauss_jordan(rows, ncols)
     nq = qa * qa + qb * qb
 
@@ -217,10 +175,7 @@ def kernel_basis(m, ncols=None):
     if not m:
         return [_unit(ncols, k) for k in range(ncols or 0)]
     ncols = ncols if ncols is not None else len(m[0])
-    reduced = _row_reduce(m, ncols, screen=True)
-    if reduced is None:
-        return []
-    piv, entry = reduced
+    piv, entry = _row_reduce(m, ncols)
     piv_set = set(piv)
     basis = []
     for fc in range(ncols):
@@ -231,12 +186,6 @@ def kernel_basis(m, ncols=None):
             v[pc] = -entry(r, fc)
         basis.append(v)
     return basis
-
-
-def rank(m, ncols=None):
-    if not m:
-        return 0
-    return len(_row_reduce(m, ncols if ncols is not None else len(m[0]))[0])
 
 
 def inverse(a):
@@ -327,8 +276,4 @@ def _pullback(w, y):
 
 def quad_form(m, x):
     """x* m x exactly."""
-    acc = ZERO
-    mx = mat_vec(m, x)
-    for xi, yi in zip(x, mx):
-        acc = acc + xi.conj() * yi
-    return acc
+    return sum((xi.conj() * yi for xi, yi in zip(x, mat_vec(m, x))), ZERO)

@@ -162,7 +162,7 @@ _PYTH = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
          (Fraction(20, 29), Fraction(21, 29))]
 
 
-def random_rational_unitary(rng, n, complex_phases=True):
+def random_rational_unitary(rng, n):
     """Exact unitary from Givens rotations with Pythagorean cosines plus
     rational-complex unit phases."""
     mat = [[Scalar.exact(1 if i == j else 0) for j in range(n)] for i in range(n)]
@@ -178,7 +178,7 @@ def random_rational_unitary(rng, n, complex_phases=True):
             row[i] = vi * Scalar.exact(c) + vj * Scalar.exact(s)
             row[j] = vi * Scalar.exact(-s) + vj * Scalar.exact(c)
     for j in range(n):
-        if complex_phases and rng.random() < 0.4:
+        if rng.random() < 0.4:
             c, s = rng.choice(_PYTH)
             ph = Scalar.exact(c, s if rng.random() < 0.5 else -s)
         else:

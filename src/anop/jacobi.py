@@ -16,16 +16,17 @@ from .errors import NotSelfAdjoint
 
 JACOBI_TOL = 1e-12
 JACOBI_MAX_N = 64
+_JACOBI_MAX_SWEEPS = 60
 
 
-def _jacobi_real(a, tol=JACOBI_TOL, max_sweeps=60):
+def _jacobi_real(a, tol=JACOBI_TOL):
     a = np.array(a, dtype=float)
     n = a.shape[0]
     v = np.eye(n)
     if n < 2:
         return np.diag(a).copy(), v
     scale = np.linalg.norm(a) or 1.0
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         off = np.linalg.norm(a - np.diag(np.diag(a)))
         if off <= tol * scale:
             break

@@ -156,6 +156,14 @@ def _norms2(t, x):
     return x.norm2(), tx.norm2(), tsx.norm2(), ttx.norm2()
 
 
+def _violates_exactly(t, x, lhs_kind):
+    """Whether x breaks (*-)paranormality exactly: ||Lx||^4 > ||T^2 x||^2 ||x||^2,
+    with L = T for lhs_kind "T" and L = T* for "T*"."""
+    n0, nt, nts, ntt = _norms2(t, x)
+    lhs = nt if lhs_kind == "T" else nts
+    return lhs.re * lhs.re > ntt.re * n0.re
+
+
 def _sample_region(t):
     """(component, index) coordinates of the corner plus one band beyond."""
     sizes = corner_sizes(t, pad=1)
@@ -407,9 +415,7 @@ def _sample_violates(t, t_adj, v, lhs_kind, exact_ok):
     if a * a <= b * c * _SLACK + 1e-300:
         return False
     if exact_ok:
-        n0, nt, nts, ntt = _norms2(t, v)
-        lhs = nt if lhs_kind == "T" else nts
-        return lhs.re * lhs.re > ntt.re * n0.re
+        return _violates_exactly(t, v, lhs_kind)
     return a * a > b * c * (1.0 + 1e-6)
 
 
@@ -631,10 +637,7 @@ def _rationalize_witness(t, n_sec, flat):
     v = VectorExpr(t.spaces, data)
     if v.is_zero():
         return None
-    n0, nt, nts, ntt = _norms2(t, v)
-    if nts.re * nts.re > ntt.re * n0.re:
-        return v
-    return None
+    return v if _violates_exactly(t, v, "T*") else None
 
 
 # -- norm attainment ----------------------------------------------------------------------
@@ -735,8 +738,10 @@ def revalidate_witness(verdict, t):
         return True
     v = verdict.witness
     exact = t.is_exact_scalars() and v.is_exact()
-    n0, nt, nts, ntt = _norms2(t, v)
     name = verdict.predicate
+    if exact and name in ("paranormal", "star_paranormal"):
+        return _violates_exactly(t, v, "T" if name == "paranormal" else "T*")
+    n0, nt, nts, ntt = _norms2(t, v)
     if name == "normal":
         gap = nt - nts
         return not gap.is_zero() if exact else abs(complex(gap)) > 1e-8
@@ -746,7 +751,5 @@ def revalidate_witness(verdict, t):
         return float(nts.re) > float(nt.re) - 1e-10
     if name in ("paranormal", "star_paranormal"):
         lhs = nt if name == "paranormal" else nts
-        if exact:
-            return lhs.re * lhs.re > ntt.re * n0.re
         return float(lhs.re) ** 2 > float(ntt.re) * float(n0.re) * (1 - 1e-9)
     return True

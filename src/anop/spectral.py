@@ -34,6 +34,7 @@ from .subspaces import Subspace
 from .vectors import VectorExpr
 
 THETA_SAMPLES = 4096
+_STREAM_PAIRS = 64  # eigenpairs positive_an_diagonalize lists per stream
 
 COMP_CONST = "const"
 COMP_DIAGRULE = "diagrule"
@@ -694,7 +695,7 @@ class DiagonalizationResult:
                 "truncated": self.truncated}
 
 
-def positive_an_diagonalize(p, tol=1e-10, trunc=256, max_stream=64):
+def positive_an_diagonalize(p, tol=1e-10, trunc=256):
     """Explicit eigenpair expansion of a positive operator that passes the
     singleton-essential-spectrum criterion; the four structural clauses of
     the expansion are checked on the output and reported."""
@@ -713,7 +714,7 @@ def positive_an_diagonalize(p, tol=1e-10, trunc=256, max_stream=64):
             continue
         pairs.append((float(d.value), summary_eigenspace(s, d.value)))
     for st in s.streams:
-        for k in range(st.start, st.start + max_stream):
+        for k in range(st.start, st.start + _STREAM_PAIRS):
             pairs.append((float(st.fn.eval(k)),
                           Subspace.span(p.spaces, [VectorExpr.basis(p.spaces, st.comp, k)])))
         truncated = True

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import subprocess
 import sys
 import threading
 from contextlib import redirect_stdout
@@ -244,6 +245,27 @@ def test_huge_root_bound_rule_finishes(tmp_path, argv, code):
     p = _example2_with_rule(tmp_path, '"rule":{"kind":"ratfn","num":[1],"den":[%d,1]}'
                             % 10 ** 12)
     assert _exit_code_within(argv[:1] + [p] + argv[1:], 20) == code
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_stdout_closed_by_reader_exits_74(tmp_path, unbuffered):
+    # a reader that closes the pipe before the report is written gets EX_IOERR
+    # and one line on stderr, from a written or a still-buffered report alike
+    _, ex1 = run_cli(["gallery", "example1"])
+    p = tmp_path / "e1.json"
+    p.write_text(ex1)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        x for x in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if x))
+    proc = subprocess.Popen([sys.executable, "-m", "anop.cli", "check", str(p),
+                             "--predicate", "an", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 74, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("anop: stdout was closed")
 
 
 def test_linalg_error_exits_70(shift_file, capsys, monkeypatch):

@@ -6,9 +6,8 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, strategies as st
 
-from anop.exactla import (_full_column_rank_mod_p, _gaussian_rows, _rref, inverse,
-                          kernel_basis, mat_copy, mat_mul, mat_sub_diag, mat_vec,
-                          psd_decide, quad_form, rank)
+from anop.exactla import (_rref, inverse, kernel_basis, mat_copy, mat_mul, mat_sub_diag,
+                          mat_vec, psd_decide, quad_form)
 from anop.scalars import Scalar
 from conftest import rand_scalar
 
@@ -69,11 +68,9 @@ def test_kernel_and_rank_match_float_oracle():
         a = [[rand_scalar(rng) for _ in range(r)] for _ in range(n)]
         b = [[rand_scalar(rng) for _ in range(n)] for _ in range(r)]
         m = mat_mul(a, b) if r else [[Scalar.exact(0)] * n for _ in range(n)]
-        got_rank = rank(m)
-        np_rank = np.linalg.matrix_rank(_to_np(m), tol=1e-9) if r else 0
-        assert got_rank == np_rank
         ker = kernel_basis(m)
-        assert len(ker) == n - got_rank
+        np_rank = np.linalg.matrix_rank(_to_np(m), tol=1e-9) if r else 0
+        assert n - len(ker) == np_rank
         for v in ker:
             assert all(x.is_zero() for x in mat_vec(m, v))
 
@@ -151,7 +148,8 @@ def _identical(x):
 
 def _assert_matches_reference(m):
     assert _identical(kernel_basis(m)) == _identical(_reference_kernel(m))
-    assert rank(m) == len(_reference_rref(m, len(m[0]))[0])
+    ncols = len(m[0])
+    assert ncols - len(kernel_basis(m)) == len(_reference_rref(m, ncols)[0])
     if len(m) == len(m[0]):
         assert _identical(inverse(m)) == _identical(_reference_inverse(m))
 
@@ -181,28 +179,37 @@ def test_core_matches_fraction_reference(m):
     _assert_matches_reference(m)
 
 
-def test_screen_is_silent_when_p_divides_every_maximal_minor():
-    # singular mod p, invertible over Q: the screen cannot answer, the exact step does
+def test_core_inverts_matrices_singular_mod_p():
+    # p divides every maximal minor, yet each matrix is invertible over Q
     for m in ([[Scalar.exact(P)]],
               [[Scalar.exact(0, P)]],
               [[Scalar.exact(1), Scalar.exact(1)], [Scalar.exact(1), Scalar.exact(1 + P)]]):
-        assert not _full_column_rank_mod_p(_gaussian_rows(m), len(m[0]))
-        assert kernel_basis(m) == [] and rank(m) == len(m)
+        assert kernel_basis(m) == []
         _assert_matches_reference(m)
     assert inverse([[Scalar.exact(P)]]) == [[Scalar.exact(Fraction(1, P))]]
 
 
-def test_denominator_divisible_by_p():
-    # rows are scaled to Gaussian integers before the reduction mod p, so no
-    # denominator is inverted mod p and the screen still decides soundly
+def test_core_matches_reference_with_denominators_divisible_by_p():
     full = [[Scalar.exact(Fraction(1, P)), Scalar.exact(1)],
             [Scalar.exact(Fraction(2, P)), Scalar.exact(Fraction(3, P), Fraction(1, 2 * P))]]
-    assert _full_column_rank_mod_p(_gaussian_rows(full), 2)
     deficient = [[Scalar.exact(Fraction(1, P)), Scalar.exact(2)],
                  [Scalar.exact(Fraction(2, P)), Scalar.exact(4)]]
-    assert len(kernel_basis(deficient)) == 1
+    assert kernel_basis(full) == [] and len(kernel_basis(deficient)) == 1
     for m in (full, deficient):
         _assert_matches_reference(m)
+
+
+def test_core_decides_full_column_rank_with_large_denominators():
+    # a 12 x 10 matrix of full column rank with denominators near 2**61: its
+    # kernel is empty, and the core's entries grow far past one machine word
+    rng = random.Random(4)
+    dens = (P - 2, P, P + 2)
+    m = [[Scalar.exact(Fraction(rng.randint(-P, P), rng.choice(dens)),
+                       Fraction(rng.randint(-P, P), rng.choice(dens)))
+          for _ in range(10)] for _ in range(12)]
+    assert kernel_basis(m) == []
+    _assert_matches_reference(m)
+    _assert_matches_reference(m[:10])
 
 
 @given(_matrix_of_rank(), st.booleans())
