@@ -8,9 +8,10 @@ anop certify FILE                    exit 0 normal proven, 2 not applicable,
 anop audit
 anop gallery NAME                    operator file on stdout
 
-Any command may also exit 3 (not self-adjoint), 64 (usage), 65 (parse error),
-70 (internal error, traceback on stderr) or 74 (stdout closed by its reader
-before the report was written); a crash never exits 1.
+Any command may also exit 3 (not self-adjoint), 64 (usage: a bad argument,
+option value or ANOP_SEED), 65 (parse error), 70 (internal error, traceback
+on stderr; any other exception, a ValueError included) or 74 (stdout closed
+by its reader before the report was written); a crash never exits 1.
 
 Reports embed the full run configuration and the tool version; identical
 inputs produce byte-identical JSON.
@@ -24,8 +25,6 @@ import os
 import sys
 import traceback
 from dataclasses import asdict, dataclass
-
-from numpy.linalg import LinAlgError
 
 from . import __version__
 from .errors import (AnopError, BadParams, NotAN, NotSelfAdjoint, SchemaError,
@@ -77,14 +76,16 @@ def _add_common(p):
 
 
 def _config(args):
-    seed = args.seed
-    env = os.environ.get("ANOP_SEED")
-    if env is not None:
-        seed = int(env)
-    cfg = RunConfig(tol=args.tol, trunc=args.trunc, samples=args.samples,
-                    seed=seed, k_grid=args.k_grid, max_peel=args.max_peel,
-                    output="json" if args.json else "text")
-    cfg.validate()
+    """The run configuration; a bad value or ANOP_SEED is a usage error."""
+    try:
+        cfg = RunConfig(tol=args.tol, trunc=args.trunc, samples=args.samples,
+                        seed=int(os.environ.get("ANOP_SEED", args.seed)),
+                        k_grid=args.k_grid, max_peel=args.max_peel,
+                        output="json" if args.json else "text")
+        cfg.validate()
+    except ValueError as exc:
+        print(f"anop: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     return cfg
 
 
@@ -221,7 +222,7 @@ def cmd_gallery(args):
         # parameters whose operator file the reader refuses (a NaN or
         # out-of-range scale) are bad parameters too
         parse(text)
-    except AnopError as exc:
+    except (AnopError, json.JSONDecodeError) as exc:
         print(f"anop: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(text)
@@ -295,10 +296,6 @@ def main(argv=None):
         print("anop: stdout was closed before the report was written", file=sys.stderr)
         return EXIT_IOERR
     except Exception as exc:
-        # numpy's LinAlgError is a ValueError, but not a usage error
-        if isinstance(exc, ValueError) and not isinstance(exc, LinAlgError):
-            print(f"anop: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         traceback.print_exc()
         print(f"anop: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -35,7 +35,7 @@ from .predicates import (NUMERICAL, PROVEN, REFUTED, PredicateVerdict,
                          is_normal, star_paranormal_check)
 from .scalars import ONE, Scalar, scalar_sqrt
 from .spectral import (_window_norm_bound, adjoint_modulus_summary, cogram,
-                       gram, kernel_dims, memoised, modulus_summary,
+                       gram, kernel_dims, modulus_summary,
                        shares_derived, summary_eigenspace)
 from .subspaces import Subspace, orthogonalize
 from .vectors import VectorExpr
@@ -279,16 +279,11 @@ def _restriction_matrix(t, space, lam):
     orthonormal basis; returns (matrix, containment_residual, unitary_residual)."""
     basis = space.onb()
     images = [apply(t, b) for b in basis]
-    coeffs = _matrix_in(basis, images)
     n = len(basis)
-    mat = np.zeros((n, n), dtype=complex)
-    containment = 0.0
-    for j, tb in enumerate(images):
-        rec = VectorExpr(t.spaces)
-        for i, g in enumerate(basis):
-            rec = rec + g.scaled(coeffs[i][j])
-            mat[i, j] = complex(coeffs[i][j]) / lam
-        containment = max(containment, (tb - rec).norm_float())
+    mat = np.array([[complex(c) / lam for c in row]
+                    for row in _matrix_in(basis, images)],
+                   dtype=complex).reshape(n, n)
+    containment = max((space.residual(tb) for tb in images), default=0.0)
     uu = mat.conj().T @ mat
     vv = mat @ mat.conj().T
     ur = max(float(np.linalg.norm(uu - np.eye(n))),
@@ -298,16 +293,14 @@ def _restriction_matrix(t, space, lam):
 
 def _require_hypotheses(t, tol, samples, seed, trunc):
     """Raise NotAN or StarParanormalRefuted when a check refutes the
-    hypotheses of the peeled representation (once per operator in a memo)."""
-    def check():
-        av = an_check(t, tol, trunc)
-        if av.status == REFUTED:
-            raise NotAN(str(av.evidence.get("rule")))
-        sv = star_paranormal_check(t, tol, k_grid=16, samples=min(samples, 4000),
-                                   seed=seed, trunc=min(trunc, 160))
-        if sv.status == REFUTED:
-            raise StarParanormalRefuted("refutation witness found")
-    memoised(("hypotheses", tol, samples, seed, trunc), t, check)
+    hypotheses of the peeled representation."""
+    av = an_check(t, tol, trunc)
+    if av.status == REFUTED:
+        raise NotAN(str(av.evidence.get("rule")))
+    sv = star_paranormal_check(t, tol, k_grid=16, samples=min(samples, 4000),
+                               seed=seed, trunc=min(trunc, 160))
+    if sv.status == REFUTED:
+        raise StarParanormalRefuted("refutation witness found")
 
 
 @shares_derived
@@ -317,6 +310,12 @@ def peel_decompose(t, tol=1e-10, max_peel=64, samples=2000, seed=42, trunc=256):
     essential minimum, the isometric tail with its one-sided coupling, the
     finite complement block, and sub-tail unitary summands where they exist."""
     _require_hypotheses(t, tol, samples, seed, trunc)
+    return _peel(t, tol, max_peel, samples, seed, trunc)
+
+
+def _peel(t, tol, max_peel, samples, seed, trunc):
+    """The structural peel of peel_decompose, on an operator whose
+    hypotheses were already checked."""
     msum = modulus_summary(t, tol, trunc)
     s_q = msum.base
     s_qq = adjoint_modulus_summary(t, tol, trunc).base
@@ -589,9 +588,7 @@ def _structural_inverse(a):
     for alpha2 in _constant_candidates(q):
         scaled_id = ident.scaled(alpha2)
         if ops_equal_exact(q, scaled_id) and ops_equal_exact(qq, scaled_id):
-            inv_scale = Scalar.exact(1) / alpha2 if alpha2.is_exact else \
-                Scalar.inexact(1.0 / float(alpha2.re))
-            return adjoint(a).scaled(inv_scale), alpha2.is_exact
+            return adjoint(a).scaled(ONE / alpha2), alpha2.is_exact
     return None, False
 
 
@@ -669,8 +666,7 @@ def coupling_vanishes(a, b_cols, c_rows, tol=1e-10):
     if alpha is None or float(alpha.re) <= 0:
         raise HypothesisFailed("the (1,1) block is not a positive multiple "
                                "of an isometry")
-    s_op = a.scaled(Scalar.exact(1) / alpha if alpha.is_exact
-                    else Scalar.inexact(1.0 / float(alpha.re)))
+    s_op = a.scaled(ONE / alpha)
     q = gram(s_op)
     ident = identity_operator(a.spaces)
     if a.is_exact_scalars() and alpha.is_exact:
@@ -728,7 +724,7 @@ def certify_normal(t, tol=1e-10, samples=2000, seed=42, trunc=256, max_peel=64):
     kd = kernel_dims(t, tol, trunc)
     fredholm = not any(_contains_zero(piece, tol) for piece in msum.base.ess)
     if kd.as_tuple() == (0, 0) and fredholm:
-        cert = peel_decompose(t, tol, max_peel, samples, seed, trunc)
+        cert = _peel(t, tol, max_peel, samples, seed, trunc)
         details["s_star_a_norm"] = cert.s_star_a_norm
         details["isometry_residual"] = cert.isometry_residual
         a_norm = max((c.norm_float() for c in cert.a_cols), default=0.0)
@@ -834,10 +830,8 @@ def compress_to_complement(t, kernel):
                 for k, v in tsu.data[ci].items():
                     if k >= start:
                         ent_up[(j, k - start)] = v.conj()
-            if ent_dn:
-                blocks[(pos, 0)] = FiniteRankBlock(ent_dn)
-            if ent_up:
-                blocks[(0, pos)] = FiniteRankBlock(ent_up)
+            blocks[(pos, 0)] = FiniteRankBlock(ent_dn)
+            blocks[(0, pos)] = FiniteRankBlock(ent_up)
         # tail -> other tails
         for cj in tail_comps:
             if cj == ci:
@@ -847,8 +841,7 @@ def compress_to_complement(t, kernel):
                 for r, v in apply(t, e).data[ci].items():
                     if r >= start:
                         entries[(r - start, k)] = v
-            if entries:
-                blocks[(tail_pos[ci], tail_pos[cj])] = FiniteRankBlock(entries)
+            blocks[(tail_pos[ci], tail_pos[cj])] = FiniteRankBlock(entries)
     return OperatorExpr(new_spaces, blocks)
 
 

@@ -135,7 +135,10 @@ def theorem_form(levels, m_e, tail_power=1, h3_dim=0, a_entries=(), b_matrix=Non
         if mat_mul(blk.adjoint().matrix, blk.matrix) != mat_identity(n):
             raise BadParams("level matrices must be unitary")
         summands.append(OperatorExpr((finite(n),), {(0, 0): blk.scaled(lam)}))
-    d, p = int(h3_dim), int(tail_power)
+    try:
+        d, p = int(h3_dim), int(tail_power)
+    except ValueError as exc:
+        raise BadParams(f"block sizes must be integers: {exc}") from None
     tail = [Scalar.exact(0)] * d
     shift = DiagonalSeq(tail, m_e)
     entries = {}

@@ -248,12 +248,8 @@ def _mul_banded(a, b):
             r = k + d_pos
             c = k + d_neg
             prefix.append(_banded_product_entry(a, b, r, c))
-        if rule is not None:
-            seq = DiagonalSeq(prefix, rule=rule)
-        else:
-            seq = DiagonalSeq(prefix, limit, decay=decay)
-        if not seq.is_zero():
-            out[d] = seq
+        # a rule fixes the limit itself, and decay is set only without one
+        out[d] = DiagonalSeq(prefix, limit, rule, decay)
     return BandedBlock(out)
 
 
@@ -361,9 +357,8 @@ def multiply(a, b):
                 a_banded = isinstance(ba, BandedBlock)
                 b_banded = isinstance(bb, BandedBlock)
                 if a_banded and b_banded:
-                    prod = _mul_banded(ba, bb)
-                    banded_piece = prod if banded_piece is None else add_banded(
-                        [(Scalar.exact(1), banded_piece), (Scalar.exact(1), prod)])
+                    # banded blocks sit only on the l2 diagonal, so i == k == j
+                    banded_piece = _mul_banded(ba, bb)
                 elif a_banded:
                     part = _mul_banded_sparse(ba, _sparse_entries(bb))
                     _acc_entries(sparse_acc, part)
@@ -373,18 +368,11 @@ def multiply(a, b):
                 else:
                     part = _mul_sparse_sparse(_sparse_entries(ba), _sparse_entries(bb))
                     _acc_entries(sparse_acc, part)
-            if banded_piece is None and not sparse_acc:
-                continue
             if banded_piece is not None:
-                blk = banded_piece.absorb_entries(sparse_acc)
-            elif spaces[i].kind == "finite" and spaces[j].kind == "finite":
-                mat = DenseBlock.zeros(spaces[i].dim, spaces[j].dim)
-                for (r, c), v in sparse_acc.items():
-                    mat.matrix[r][c] = v
-                blk = mat
-            else:
-                blk = FiniteRankBlock(sparse_acc)
-            blocks[(i, j)] = blk
+                blocks[(i, j)] = banded_piece.absorb_entries(sparse_acc)
+            elif sparse_acc:
+                # OperatorExpr makes a finite x finite position dense
+                blocks[(i, j)] = FiniteRankBlock(sparse_acc)
     return OperatorExpr(spaces, blocks)
 
 

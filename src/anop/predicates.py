@@ -311,7 +311,7 @@ def is_normal(t):
                     if seq.rule is not None:
                         zs = seq.rule.zeros_from(sizes[i])
                         k = sizes[i]
-                        while zs is not None and k in zs:
+                        while k in zs:
                             k += 1
                         pos = (i, k)
                         break
@@ -412,11 +412,14 @@ def _sample_violates(t, t_adj, v, lhs_kind, exact_ok):
     a = _fnorm2(ftx) if lhs_kind == "T" else _fnorm2(apply_float(t_adj, fv))
     b = _fnorm2(fttx)
     c = _fnorm2(fv)
-    if a * a <= b * c * _SLACK + 1e-300:
+    rhs = b * c * _SLACK
+    if not exact_ok:
+        # no exact re-check follows: the 1e-300 floor skips subnormal squares
+        return a * a > rhs + 1e-300 and a * a > b * c * (1.0 + 1e-6)
+    # a right side of 0.0 clears only a = 0, as a tiny a * a may underflow
+    if a * a <= rhs and (rhs > 0 or a == 0):
         return False
-    if exact_ok:
-        return _violates_exactly(t, v, lhs_kind)
-    return a * a > b * c * (1.0 + 1e-6)
+    return _violates_exactly(t, v, lhs_kind)
 
 
 def _fnorm2(fd):
@@ -442,8 +445,9 @@ def _window_screen(t, lhs_kind, region):
     final comparison gives up 8 u for its own rounding and the test's. A
     column is cleared when the per-sample test holds at every value within
     twice these distances of the screen's own; every other column goes
-    through that test. A window with an entry that has no certified value
-    clears nothing, so the per-sample test meets that entry as before.
+    through that test, also one whose right-side bound underflows to 0.0
+    while its left-side bound does not. A window with an entry that has no
+    certified value clears nothing, so the per-sample test meets it as before.
     `region` is `_sample_region(t)`, the rows a batch matrix stands for."""
     # the region already spans every finite-rank extent, and counting its
     # coordinates per component gives its sizes; two bandwidths beyond it
@@ -489,7 +493,7 @@ def _window_screen(t, lhs_kind, region):
                 * (1.0 - h)
             c_lo = _col_norms2(x) * (1.0 - h) / (1.0 + h)
             rhs = b_lo * c_lo * _SLACK * (1.0 - 8.0 * _UNIT)
-            return (a_hi * a_hi <= rhs) & np.isfinite(rhs)
+            return (a_hi * a_hi <= rhs) & np.isfinite(rhs) & ((rhs > 0) | (a_hi == 0))
 
     return clears
 
@@ -519,10 +523,11 @@ def star_paranormal_check(t, tol=1e-10, k_grid=64, samples=100000, seed=42,
     """Three stages: structural proof via hyponormality, exact refutation by
     sampling, then PSD evidence for T*^2 T^2 - 2k TT* + k^2 I on sections
     over a geometric k-grid. Stage 3 checks the least eigenvalue of each
-    k-section and never proves, also when ||T||^2 underflows to 0.0 and no
-    k-grid can be built; when both sections are diagonal, as for a weighted
-    shift, it reads those eigenvalues off the diagonal instead of calling the
-    dense eigensolver, with the same bits."""
+    k-section and never proves, also when ||T||^2 is so small that the
+    k-grid's lower end underflows to 0.0 and no k-grid can be built; when
+    both sections are diagonal, as for a weighted shift, it reads those
+    eigenvalues off the diagonal instead of calling the dense eigensolver,
+    with the same bits."""
     hypo = hyponormal_check(t, tol)
     if hypo.status == PROVEN:
         return PredicateVerdict("star_paranormal", PROVEN,
@@ -540,17 +545,18 @@ def star_paranormal_check(t, tol=1e-10, k_grid=64, samples=100000, seed=42,
     s4 = gram(multiply(t, t))
     tts = cogram(t)
     norm2 = modulus_summary(t, tol, trunc).norm ** 2
-    if norm2 <= 0:
-        # stage 1 proves the zero operator, so ||T||^2 underflowed to 0.0
+    k_lo = 2.0 * norm2 * 1e-6
+    if k_lo <= 0:
+        # stage 1 proves the zero operator, so a nonzero ||T||^2 underflowed here
         return PredicateVerdict("star_paranormal", NUMERICAL,
-                                evidence={"rule": "||T||^2 underflows to 0.0 in floats, "
+                                evidence={"rule": "2e-6 ||T||^2 underflows to 0.0 in floats, "
                                                   "no k-grid; no sampled witness",
                                           "stage": 3, "samples": checked, "seed": seed},
                                 tolerances={"tol": tol})
     n_sec = max(max(corner_sizes(s4)) + 4, min(trunc, 192))
     sec4 = truncate(s4, n_sec).matrix
     sec2 = truncate(tts, n_sec).matrix
-    ks = np.geomspace(2.0 * norm2 * 1e-6, 2.0 * norm2, int(k_grid))
+    ks = np.geomspace(k_lo, 2.0 * norm2, int(k_grid))
     worst = None
     thetas = np.linspace(0, 2 * np.pi, 512, endpoint=False)
     sym_vals = [(symbol(s4, i).eval_theta(thetas).real,

@@ -4,7 +4,7 @@ tails plus finitely many extra directions orthogonal to those tails)."""
 
 from .errors import ShapeMismatch
 from .exactla import kernel_basis
-from .scalars import Scalar, scalar_sqrt
+from .scalars import ONE, Scalar, scalar_sqrt
 from .vectors import VectorExpr
 
 ZERO_KIND, FULL, SPAN, COFINITE = "zero", "full", "span", "cofinite"
@@ -169,12 +169,8 @@ class Subspace:
         out = []
         for b in self.vectors:
             n2 = b.norm2()
-            if n2.is_exact:
-                root = scalar_sqrt(n2)
-                out.append(b.scaled(Scalar.exact(1) / root if root.is_exact
-                                    else Scalar.inexact(1.0 / root.re)))
-            else:
-                out.append(b.scaled(Scalar.inexact(1.0 / b.norm_float())))
+            root = scalar_sqrt(n2) if n2.is_exact else Scalar.inexact(b.norm_float())
+            out.append(b.scaled(ONE / root))
         return out
 
     # -- lattice operations --------------------------------------------------------

@@ -13,9 +13,11 @@ import pytest
 
 from anop.cli import main
 from anop.gallery import diag_operator, example2, nilpotent_pair
-from anop.blocks import FiniteRankBlock
+from anop.blocks import BandedBlock, FiniteRankBlock
+from anop.diagonals import DiagonalSeq
 from anop.operators import L2, OperatorExpr, adjoint
 from anop.ratfn import RationalFn
+from anop.scalars import Scalar
 from anop.serialize import serialize
 
 
@@ -280,6 +282,37 @@ def test_linalg_error_exits_70(shift_file, capsys, monkeypatch):
     assert "internal error: LinAlgError" in capsys.readouterr().err
 
 
+def test_value_error_inside_a_command_exits_70(shift_file, capsys, monkeypatch):
+    # a ValueError raised while a command runs is an internal fault, not a
+    # usage error: usage errors are decided where the arguments are read
+    import anop.predicates
+
+    def broken(t):
+        raise ValueError("internal fault")
+    monkeypatch.setattr(anop.predicates, "is_normal", broken)
+    code, out = run_cli(["check", shift_file, "--predicate", "normal"])
+    assert code == 70 and out == ""
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "internal error: ValueError: internal fault" in err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["gallery", "theorem_form", "--params", "{bad"], {}),
+    # a ValueError of the builder reading its parameters
+    (["gallery", "theorem_form", "--params", '{"levels": [], "m_e": 1, "h3_dim": "x"}'],
+     {}),
+    (["check", "FILE", "--predicate", "an"], {"ANOP_SEED": "abc"}),
+    (["check", "FILE", "--predicate", "an", "--samples", "0"], {}),
+])
+def test_argument_errors_exit_64(shift_file, capsys, monkeypatch, argv, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out = run_cli([shift_file if a == "FILE" else a for a in argv])
+    err = capsys.readouterr().err
+    assert code == 64 and out == ""
+    assert err.startswith("anop: ") and "Traceback" not in err
+
+
 def test_decompose_kernel_below_tail(tmp_path):
     # flip (+) 0 (+) 2I: normal, star-paranormal and AN with a kernel below
     # the tail value; the kernel stays in the residual block
@@ -342,6 +375,23 @@ def test_star_paranormal_norm_underflow_is_numerical(tmp_path):
     p.write_text(serialize(t))
     code, out = run_cli(["check", str(p), "--predicate", "star-paranormal",
                          "--samples", "200", "--json"])
+    report = json.loads(out)["report"]
+    assert code == 2 and report["status"] == "Numerical"
+    assert report["evidence"]["stage"] == 3
+    assert "underflows" in report["evidence"]["rule"]
+
+
+def test_star_paranormal_subnormal_norm_is_numerical(tmp_path):
+    # weights 2, 1, 4, 4, ... times 10^-160: star-paranormal (2^2 <= 1 * 4)
+    # but not hyponormal; ||T||^2 = 1.6e-319 is a positive subnormal float,
+    # and the k-grid's lower end 2e-6 ||T||^2 underflows to 0.0
+    e = Fraction(1, 10 ** 160)
+    t = OperatorExpr((L2,), {(0, 0): BandedBlock(
+        {1: DiagonalSeq([2 * e, e], Scalar.exact(4 * e))})})
+    p = tmp_path / "subnormal.json"
+    p.write_text(serialize(t))
+    code, out = run_cli(["check", str(p), "--predicate", "star-paranormal",
+                         "--samples", "300", "--json"])
     report = json.loads(out)["report"]
     assert code == 2 and report["status"] == "Numerical"
     assert report["evidence"]["stage"] == 3

@@ -369,6 +369,28 @@ def test_certify_checks_hypotheses_once(monkeypatch):
     assert calls == {"an_check": 1, "star_paranormal_check": 1}
 
 
+@pytest.mark.parametrize("middle, route, operators", [
+    ((), "InvertiblePath", 1),
+    ((OperatorExpr((finite(1),), {}),), "KernelDimPath", 2),
+])
+def test_certify_requires_hypotheses_once_per_operator(monkeypatch, middle, route,
+                                                       operators):
+    # the invertible route peels without a second hypothesis check; the
+    # kernel route checks the compressed operator it certifies as well
+    import anop.decomposition as dec
+    seen = []
+    orig = dec._require_hypotheses
+
+    def counted(t, *args):
+        seen.append(t)
+        return orig(t, *args)
+    monkeypatch.setattr(dec, "_require_hypotheses", counted)
+    t = direct_sum(flip_unitary(), *middle, identity_operator((L2,)).scaled(2))
+    cert = certify_normal(t, samples=100)
+    assert cert.route == route and cert.normal
+    assert len(seen) == len({id(s) for s in seen}) == operators and seen[0] is t
+
+
 def _count_layers(monkeypatch):
     """Count calls of apply, multiply, positive_spectral_summary and
     kernel_basis through every anop binding of each; a kernel_basis call

@@ -7,16 +7,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from anop.blocks import BandedBlock, FiniteRankBlock
+from anop.blocks import BandedBlock, DenseBlock, FiniteRankBlock
 from anop.diagonals import DiagonalSeq
 from anop.errors import NSmallerThanBand, ShapeMismatch
 from anop.exactla import mat_mul
 from anop.gallery import example1, example2, right_shift
 from anop.operators import (L2, OperatorExpr, adjoint, apply, combine,
-                            corner_sizes, dense_window, identity_operator,
+                            corner_sizes, dense_window, finite, identity_operator,
                             merge_sizes, multiply, ops_equal_exact, truncate,
                             window_sizes, zero_operator)
+from anop.ratfn import RationalFn
 from anop.scalars import Scalar
 from anop.vectors import VectorExpr
 from conftest import random_exact_operator
@@ -241,3 +243,67 @@ def test_rule_tier_double_product_matches_sections():
     sec = truncate(prod, n).matrix
     oracle = truncate(q1, n).matrix @ truncate(q2, n).matrix
     assert np.max(np.abs(sec[: n - 1, : n - 1] - oracle[: n - 1, : n - 1])) < 1e-14
+
+
+# -- canonical-form invariants that multiply and the spectral layer rely on --
+
+def test_constant_rule_collapses_to_the_exact_tier():
+    rule = RationalFn.const(Fraction(3, 2))
+    seq = DiagonalSeq([Scalar.exact(1), Scalar.exact(2)], rule=rule)
+    assert seq.rule is None and seq.decay is None and seq.tier == "exact"
+    assert [seq.entry(i) for i in range(6)] == \
+        [Scalar.exact(v) for v in (1, 2)] + [Scalar.exact(Fraction(3, 2))] * 4
+    # a rule that only looks ruled, (3i + 3) / (2i + 2), collapses as well
+    seq = DiagonalSeq(rule=RationalFn([3, 3], [2, 2]))
+    assert seq.rule is None and seq.tier == "exact"
+    assert seq.entry(5) == Scalar.exact(Fraction(3, 2))
+
+
+_coeffs = st.lists(st.integers(-4, 4), min_size=1, max_size=3)
+
+
+@given(_coeffs, _coeffs, st.integers(0, 3), st.integers(0, 3))
+def test_every_kept_rule_carries_a_decay_certificate(num, den, shift, npre):
+    # den(i) = (i + 1 + shift)^2 + |den coefficients| stays positive
+    den_poly = [(1 + shift) ** 2 + sum(abs(c) for c in den), 2 * (1 + shift), 1]
+    rule = RationalFn(num, den_poly)
+    seq = DiagonalSeq([Scalar.exact(k) for k in range(npre)], rule=rule)
+    assert (seq.rule is None) == rule.is_const()
+    if seq.rule is not None:
+        assert seq.decay is not None and seq.tier == "asymptotic"
+    # so do the products and sums the algebra builds from such rules
+    op = OperatorExpr((L2,), {(0, 0): BandedBlock({0: seq, 1: seq})})
+    for derived in (multiply(adjoint(op), op), combine([(1, op), (2, op)])):
+        for d in derived.blocks.get((0, 0), BandedBlock({})).diagonals.values():
+            assert d.rule is None or d.decay is not None
+
+
+@pytest.mark.parametrize("spaces, pos", [((L2, L2), (0, 1)), ((L2, finite(2)), (1, 0)),
+                                         ((finite(2),), (0, 0))])
+def test_banded_block_off_the_l2_diagonal_is_refused(spaces, pos):
+    blk = BandedBlock({0: DiagonalSeq(limit=Scalar.exact(1))})
+    with pytest.raises(ShapeMismatch):
+        OperatorExpr(spaces, {pos: blk})
+
+
+def test_multiply_of_finite_operators_leaves_dense_blocks():
+    # A = [[0, 1], [0, 0]] on C^2 (+) a coupling into C^3: every product
+    # position is finite x finite, some only partly filled
+    a = OperatorExpr((finite(2), finite(3)), {
+        (0, 0): DenseBlock([[0, 1], [0, 0]]),
+        (0, 1): FiniteRankBlock({(1, 2): 5}),
+        (1, 0): FiniteRankBlock({(0, 0): Fraction(1, 2)})})
+    for p in (multiply(a, a), multiply(a, adjoint(a)), multiply(adjoint(a), a)):
+        assert p.blocks
+        for (i, j), blk in p.blocks.items():
+            assert isinstance(blk, DenseBlock)
+            assert (blk.nrows, blk.ncols) == (p.spaces[i].dim, p.spaces[j].dim)
+            assert [len(row) for row in blk.matrix] == [blk.ncols] * blk.nrows
+    # A^2 = [[N^2 + BC, NB], [CN, CB]] with N^2 = BC = CB = 0
+    sq = multiply(a, a)
+    assert sorted(sq.blocks) == [(0, 1), (1, 0)]
+    assert sq.blocks[(0, 1)].matrix == [[0, 0, 5], [0, 0, 0]]
+    assert sq.blocks[(1, 0)].matrix == [[0, Fraction(1, 2)], [0, 0], [0, 0]]
+    # [[0, 1], [0, 0]]^2 = 0 leaves no block at all
+    nil = OperatorExpr((finite(2),), {(0, 0): DenseBlock([[0, 1], [0, 0]])})
+    assert not multiply(nil, nil).blocks

@@ -294,3 +294,45 @@ def test_norm_attaining_labels_the_norm_from_exact_data():
     v = norm_attaining_check(t)
     assert v.status == "Numerical" and v.evidence["attaining"] is False
     assert v.evidence["norm2"] == 4.0
+
+
+def _tiny_nilpotent(e):
+    """T = 10^-e e0 (x) e1*: T^2 = 0 and ||T*e0|| = 10^-e, so e0 violates
+    ||T*x||^2 <= ||T^2 x|| ||x|| (and e1 the paranormal inequality)."""
+    return OperatorExpr((L2,), {(0, 0): FiniteRankBlock({(0, 1): Fraction(1, 10 ** e)})})
+
+
+@pytest.mark.parametrize("e", [80, 120])
+def test_sampling_refutes_violations_of_tiny_norm(e):
+    # ||T*e0||^4 = 10^-4e lies below 1e-300 (e = 80) or underflows to 0.0
+    # (e = 120) while the right side is exactly 0.0; the exact re-check
+    # still decides these columns
+    t = _tiny_nilpotent(e)
+    star = star_paranormal_check(t, samples=500)
+    para = paranormal_refute(t, samples=500)
+    assert star.status == para.status == "Refuted"
+    assert star.evidence["stage"] == 2
+    assert revalidate_witness(star, t) and revalidate_witness(para, t)
+
+
+def test_screen_keeps_columns_whose_squared_bound_underflows():
+    from anop.predicates import _sample_region, _window_screen
+    t = _tiny_nilpotent(120)
+    region = _sample_region(t)
+    x = np.eye(len(region), dtype=complex)
+    for kind, col in (("T*", (0, 0)), ("T", (0, 1))):
+        assert not _window_screen(t, kind, region)(x)[region.index(col)]
+
+
+@pytest.mark.parametrize("e", [79.5, 81.0])
+def test_sampling_keeps_float_operators_of_tiny_scale_numerical(e):
+    # float data has no exact re-check: a*a and b*c are subnormal here, and
+    # their coarse rounding must not read as a violation of a paranormal
+    # (scaled shift) or star-paranormal (weights 2, 1, 4, 4, ...) operator
+    s = 10.0 ** -e
+    shift = right_shift(s)
+    weighted = OperatorExpr((L2,), {(0, 0): BandedBlock({1: DiagonalSeq(
+        [Scalar.of(2 * s), Scalar.of(s)], Scalar.of(4 * s))})})
+    assert not shift.is_exact_scalars() and not weighted.is_exact_scalars()
+    assert paranormal_refute(shift, samples=500).status == "Numerical"
+    assert star_paranormal_check(weighted, samples=500).status == "Numerical"

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from anop import predicates
-from anop.blocks import BandedBlock
+from anop.blocks import BandedBlock, FiniteRankBlock
 from anop.diagonals import DiagonalSeq
 from anop.gallery import example2, nilpotent_pair, random_theorem_form
 from anop.operators import L2, OperatorExpr, adjoint, apply_float
@@ -63,7 +63,9 @@ def _reference_refute(t, lhs_kind, samples, seed):
         a = _fnorm2(ftx) if lhs_kind == "T" else _fnorm2(apply_float(t_adj, fv))
         b = _fnorm2(fttx)
         c = _fnorm2(fv)
-        if a * a <= b * c * (1.0 + 1e-9) + 1e-300:
+        rhs = b * c * (1.0 + 1e-9)
+        if a * a <= rhs + (0.0 if exact_ok else 1e-300) and \
+                (rhs > 0 or a == 0 or not exact_ok):
             continue
         if exact_ok:
             n0, nt, nts, ntt = _norms2(t, v)
@@ -129,6 +131,28 @@ CASES = _cases()
 def test_batched_refuter_matches_reference(name, t, lhs_kind):
     assert _outcome(_refute_by_sampling, t, lhs_kind) == \
         _outcome(_reference_refute, t, lhs_kind)
+
+
+@pytest.mark.parametrize("lhs_kind", ["T", "T*"])
+@pytest.mark.parametrize("e", [80, 120])
+def test_batched_refuter_matches_reference_on_tiny_norms(e, lhs_kind):
+    # T = 10^-e e0 (x) e1*: the violation's squared norms fall below 1e-300
+    # (e = 80) or underflow to 0.0 (e = 120), and both refuters still find it
+    t = OperatorExpr((L2,), {(0, 0): FiniteRankBlock({(0, 1): Fraction(1, 10 ** e)})})
+    outcome = _outcome(_refute_by_sampling, t, lhs_kind)
+    assert outcome == _outcome(_reference_refute, t, lhs_kind)
+    assert outcome[0] is not None
+
+
+@pytest.mark.parametrize("lhs_kind", ["T", "T*"])
+def test_batched_refuter_matches_reference_on_tiny_float_scale(lhs_kind):
+    # a float shift scaled by 10^-80.5 is paranormal with equality, and its
+    # subnormal squares are too coarse to refute it without an exact re-check
+    t = OperatorExpr((L2,), {(0, 0): BandedBlock(
+        {1: DiagonalSeq(limit=Scalar.of(10.0 ** -80.5))})})
+    outcome = _outcome(_refute_by_sampling, t, lhs_kind)
+    assert outcome == _outcome(_reference_refute, t, lhs_kind)
+    assert outcome[0] is None
 
 
 def test_reference_cases_refute_and_raise():
