@@ -28,10 +28,9 @@ class DiagonalSeq:
                     "entry rule is only valid beyond the supplied prefix")
             lim = rule.limit()
             limit = Scalar.exact(lim)
+            # the decay derived from the rule is proven; a declared one is not
             c, p = rule.decay()
-            derived = (float(c), float(p))
-            decay = derived if decay is None else (min(decay[0], derived[0]),
-                                                   max(decay[1], derived[1]))
+            decay = (float(c), float(p))
             if rule.is_const():
                 # constant rules collapse to the Exact tier
                 rule, decay = None, None

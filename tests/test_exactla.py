@@ -1,14 +1,23 @@
 """Exact linear algebra fuzzed against dense float oracles."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
+from anop import decomposition, exactla, spectral, subspaces
+from anop.errors import AnopError
 from anop.exactla import (_rref, inverse, kernel_basis, mat_copy, mat_mul, mat_sub_diag,
                           mat_vec, psd_decide, quad_form)
+from anop.gallery import random_theorem_form
+from anop.operators import L2, identity_operator
 from anop.scalars import Scalar
+from anop.serialize import load
+from anop.vectors import VectorExpr
 from conftest import rand_scalar
 
 P = 2 ** 61 - 1
@@ -118,8 +127,8 @@ def _reference_rref(m, ncols):
     return _rref(work, ncols), work
 
 
-def _reference_kernel(m):
-    ncols = len(m[0])
+def _reference_kernel(m, ncols=None):
+    ncols = len(m[0]) if ncols is None else ncols
     piv, work = _reference_rref(m, ncols)
     basis = []
     for fc in range(ncols):
@@ -164,10 +173,10 @@ def _matrices(n, k):
 
 
 @st.composite
-def _matrix_of_rank(draw):
+def _matrix_of_rank(draw, max_side=6):
     """A rows x cols product of random rows x r and r x cols factors, r drawn
     from 0 to min(rows, cols)."""
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
     r = draw(st.integers(0, min(rows, cols)))
     if r == 0:
         return [[Scalar.exact(0)] * cols for _ in range(rows)]
@@ -218,3 +227,153 @@ def test_float_matrices_keep_the_scalar_path(m, mixed):
     m = [[Scalar.inexact(float(v.re), float(v.im)) if not mixed or (i + j) % 2 else v
           for j, v in enumerate(row)] for i, row in enumerate(m)]
     _assert_matches_reference(m)
+
+
+# -- one elimination per connected block ---------------------------------------------------
+
+@st.composite
+def _scattered_blocks(draw, square=False):
+    """A direct sum of random blocks (`_matrix_of_rank` ones, or square ones of
+    any rank), with zero rows and zero columns added, its rows and columns
+    then permuted at random."""
+    if square:
+        blocks = draw(st.lists(st.integers(1, 4).flatmap(lambda k: _matrices(k, k)),
+                               min_size=1, max_size=4))
+        zero_rows = zero_cols = draw(st.sampled_from([0, 0, 0, 1]))
+    else:
+        blocks = draw(st.lists(_matrix_of_rank(max_side=3), min_size=1, max_size=4))
+        zero_rows, zero_cols = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    nrows = sum(len(b) for b in blocks) + zero_rows
+    ncols = sum(len(b[0]) for b in blocks) + zero_cols
+    m = [[Scalar.exact(0)] * ncols for _ in range(nrows)]
+    r0 = c0 = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[r0 + i][c0:c0 + len(row)] = row
+        r0, c0 = r0 + len(b), c0 + len(b[0])
+    row_order = draw(st.permutations(range(nrows)))
+    col_order = draw(st.permutations(range(ncols)))
+    return [[m[i][j] for j in col_order] for i in row_order]
+
+
+@given(_scattered_blocks(), st.data())
+def test_block_split_matches_reference(m, data):
+    # all columns, then pivots sought in the first ncols columns only
+    for ncols in (len(m[0]), data.draw(st.integers(1, len(m[0])))):
+        piv, _ = _reference_rref(m, ncols)
+        ker = kernel_basis(m, ncols)
+        assert ncols - len(ker) == len(piv)
+        assert _identical(ker) == _identical(_reference_kernel(m, ncols))
+
+
+@given(_scattered_blocks(square=True))
+def test_block_split_inverts_like_reference(m):
+    # inverse eliminates [A | I]: each block's rows take the identity columns
+    # of their own rows along
+    assert _identical(inverse(m)) == _identical(_reference_inverse(m))
+
+
+def _golden_exact_operators():
+    paths = sorted((Path(__file__).parent / "golden" / "operators").glob("*.json"))
+    ops = [(p.stem, load(str(p))) for p in paths]
+    return [(name, t) for name, t in ops if t.is_exact_scalars()]
+
+
+def test_golden_traffic_matches_reference(monkeypatch):
+    """Every exact kernel and inverse asked for on the exact golden operators,
+    replayed against the Fraction reference: those of peel_decompose and
+    certify_normal, and the [A | I] systems of block_upper_inverse with each
+    operator as its (1,1) block, and with its T*T and TT* corners as the
+    finite block."""
+    calls = []
+
+    def kernel_spy(m, ncols=None):
+        calls.append(("kernel", m, ncols, kernel_basis(m, ncols)))
+        return calls[-1][-1]
+
+    def inverse_spy(a):
+        calls.append(("inverse", a, None, inverse(a)))
+        return calls[-1][-1]
+    monkeypatch.setattr(spectral, "kernel_basis", kernel_spy)
+    monkeypatch.setattr(subspaces, "kernel_basis", kernel_spy)
+    monkeypatch.setattr(decomposition, "exact_inverse", inverse_spy)
+
+    def upper_inverse(a, c):
+        return decomposition.block_upper_inverse(a, [VectorExpr(a.spaces)] * len(c), c)
+    for name, t in _golden_exact_operators():
+        runs = [lambda: decomposition.peel_decompose(t, samples=300),
+                lambda: decomposition.certify_normal(t, samples=300),
+                lambda: upper_inverse(t, [[Scalar.exact(1)]])]
+        for p in (spectral.gram(t), spectral.cogram(t)):
+            corner = spectral.positive_spectral_summary(p)._corner
+            if corner:
+                runs.append(lambda c=corner: upper_inverse(identity_operator((L2,)), c))
+        for run in runs:
+            try:
+                run()
+            except AnopError:
+                pass  # out of the class or singular: the eliminations still count
+    kinds = Counter(kind for kind, m, _, _ in calls if m)
+    assert kinds["kernel"] >= 100 and kinds["inverse"] >= 20, kinds
+    for kind, m, ncols, result in calls:
+        if not m:
+            continue
+        expected = (_reference_inverse(m) if kind == "inverse"
+                    else _reference_kernel(m, ncols))
+        assert _identical(result) == _identical(expected)
+
+
+def _eliminated_row_counts(monkeypatch):
+    counts = []
+    core = exactla._fraction_free_gauss_jordan
+
+    def spy(rows, ncols):
+        counts.append(len(rows))
+        return core(rows, ncols)
+    monkeypatch.setattr(exactla, "_fraction_free_gauss_jordan", spy)
+    return counts
+
+
+def test_elimination_never_spans_two_blocks(monkeypatch):
+    counts = _eliminated_row_counts(monkeypatch)
+    rng = random.Random(5)
+    m = [[Scalar.exact(0)] * 12 for _ in range(12)]
+    k = 0
+    for size in (1, 2, 2, 1, 2, 1, 2, 1):
+        for i in range(k, k + size):
+            for j in range(k, k + size):
+                m[i][j] = rand_scalar(rng)
+        k += size
+    rows, cols = list(range(12)), list(range(12))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    m = [[m[i][j] for j in cols] for i in rows]
+    kernel_basis(m)
+    inverse(m)
+    assert counts and max(counts) <= 2
+
+
+def _largest_connected_block(corner):
+    n = len(corner)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+    for i in range(n):
+        for j in range(n):
+            if i != j and not corner[i][j].is_zero():
+                parent[find(i)] = find(j)
+    return max(Counter(find(i) for i in range(n)).values())
+
+
+def test_summary_eliminates_no_more_than_a_block_of_its_corner(monkeypatch):
+    t, _ = random_theorem_form(1)
+    assert t.is_exact_scalars()
+    counts = _eliminated_row_counts(monkeypatch)
+    s = spectral.positive_spectral_summary(spectral.gram(t))
+    bound = _largest_connected_block(s._corner)
+    # a 13 x 13 T*T corner whose largest block has 3 rows
+    assert bound < len(s._corner)
+    assert counts and max(counts) <= bound

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from anop.diagonals import DiagonalSeq
 from anop.errors import SchemaError
 from anop.gallery import example1, example2, right_shift
 from anop.operators import adjoint, apply, multiply, ops_equal_exact
+from anop.ratfn import RationalFn
 from anop.scalars import Scalar
 from anop.serialize import load, operator_to_json_dict, parse, serialize
 from anop.vectors import VectorExpr
@@ -32,6 +34,22 @@ def test_rational_string_literals_bit_exact():
     assert str(seq.prefix[0].re) == "1/3" and str(seq.prefix[0].im) == "-2/7"
     assert str(seq.limit.re) == "22/7"
     assert ops_equal_exact(parse(serialize(t)), t)
+
+
+def test_a_declared_decay_never_tightens_the_rule_certificate():
+    # the rule 1 + 1/(i+1) = (i+2)/(i+1) is 0.25 from its limit 1 at i = 3; a
+    # declared (C, p) = (1e-9, 50) once combined with the derived certificate
+    # into a bound of 7.9e-40 there
+    rule = RationalFn([2, 1], [1, 1])
+    derived = DiagonalSeq(rule=rule).decay
+    seqs = [DiagonalSeq(rule=rule, decay=(1e-9, 50)),
+            parse('{"spaces": [{"kind": "l2"}], "blocks": [{"row": 0, "col": 0, '
+                  '"kind": "banded", "diagonals": [{"offset": 0, "decay": {"C": 1e-9, '
+                  '"p": 50}, "rule": {"kind": "ratfn", "num": [2, 1], "den": [1, 1]}}]}]}'
+                  ).blocks[(0, 0)].diagonals[0]]
+    for seq in seqs:
+        assert seq.decay == derived
+        assert seq.tail_dev_bound(3) >= abs(complex(seq.entry(3) - seq.limit)) == 0.25
 
 
 def test_round_trip_random_exact_operators():
