@@ -41,7 +41,7 @@ a = OperatorExpr((finite(1),), {(0, 0): DenseBlock([[2]])})
 b = [VectorExpr(a.spaces, [{0: Scalar.exact(1)}])]
 inv = block_upper_inverse(a, b, [[1]])
 print("inverse of [[2, 1], [0, 1]]: a^-1 =",
-      str(inv.a_inv.blocks[(0, 0)].matrix[0][0].re),
+      str(inv.a_inv.blocks[(0, 0)].entries[(0, 0)].re),
       " y =", str(inv.y_cols[0].get(0, 0).re), " exact:", inv.exact)
 
 # normality certificates: invertible inputs in the class are normal

@@ -1,12 +1,14 @@
 """Block kinds that make up an OperatorExpr.
 
-Diagonal l2 x l2 positions hold a BandedBlock; any position involving an
-l2 component may hold a FiniteRankBlock; finite x finite positions hold
-a DenseBlock. Corner data arising from algebra is absorbed into banded
-diagonal prefixes so each operator has one canonical form.
+Diagonal l2 x l2 positions hold a BandedBlock and every other position,
+finite x finite included, holds a FiniteRankBlock. A DenseBlock is an
+input form only: OperatorExpr checks its shape and keeps its nonzero
+entries as a FiniteRankBlock. Corner data arising from algebra is absorbed
+into banded diagonal prefixes so each operator has one canonical form.
 """
 
 from .diagonals import DiagonalSeq, combine_diagonals
+from .errors import ShapeMismatch
 from .scalars import Scalar, ZERO
 
 
@@ -64,10 +66,8 @@ class BandedBlock:
         return BandedBlock(diags)
 
     def structurally_equal(self, other):
-        if set(self.diagonals) != set(other.diagonals):
-            return False
-        return all(self.diagonals[j].structurally_equal(other.diagonals[j])
-                   for j in self.diagonals)
+        return self.diagonals.keys() == other.diagonals.keys() and all(
+            d.structurally_equal(other.diagonals[j]) for j, d in self.diagonals.items())
 
     def __repr__(self):
         return f"BandedBlock({{ {', '.join(f'{j}: {d!r}' for j, d in sorted(self.diagonals.items()))} }})"
@@ -77,9 +77,10 @@ class FiniteRankBlock:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        self.entries = {(int(r), int(c)): Scalar.of(v)
-                        for (r, c), v in entries.items()
-                        if not Scalar.of(v).is_zero()}
+        if any(r < 0 or c < 0 for r, c in entries):
+            raise ShapeMismatch("negative entry index")
+        values = ((rc, Scalar.of(v)) for rc, v in entries.items())
+        self.entries = {(int(r), int(c)): v for (r, c), v in values if not v.is_zero()}
 
     def adjoint(self):
         return FiniteRankBlock({(c, r): v.conj() for (r, c), v in self.entries.items()})
@@ -97,49 +98,23 @@ class FiniteRankBlock:
         return max((c + 1 for (_, c) in self.entries), default=0)
 
     def structurally_equal(self, other):
-        if set(self.entries) != set(other.entries):
-            return False
-        return all(self.entries[rc] == other.entries[rc] for rc in self.entries)
+        return self.entries == other.entries
 
     def __repr__(self):
         return f"FiniteRankBlock({len(self.entries)} entries)"
 
 
 class DenseBlock:
-    __slots__ = ("matrix", "nrows", "ncols")
+    """Input form of a block given as a list of rows."""
 
-    def __init__(self, matrix, nrows=None, ncols=None):
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix):
         self.matrix = [[Scalar.of(v) for v in row] for row in matrix]
-        self.nrows = nrows if nrows is not None else len(self.matrix)
-        self.ncols = ncols if ncols is not None else (len(self.matrix[0]) if self.matrix else 0)
-
-    @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls([[ZERO] * ncols for _ in range(nrows)], nrows, ncols)
-
-    def adjoint(self):
-        return DenseBlock([[self.matrix[r][c].conj() for r in range(self.nrows)]
-                           for c in range(self.ncols)], self.ncols, self.nrows)
 
     def scaled(self, coeff):
         coeff = Scalar.of(coeff)
-        return DenseBlock([[coeff * v for v in row] for row in self.matrix],
-                          self.nrows, self.ncols)
-
-    def is_zero(self):
-        return all(v.is_zero() for row in self.matrix for v in row)
-
-    def is_exact_scalars(self):
-        return all(v.is_exact for row in self.matrix for v in row)
-
-    def structurally_equal(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            return False
-        return all(self.matrix[r][c] == other.matrix[r][c]
-                   for r in range(self.nrows) for c in range(self.ncols))
-
-    def __repr__(self):
-        return f"DenseBlock({self.nrows}x{self.ncols})"
+        return DenseBlock([[coeff * v for v in row] for row in self.matrix])
 
 
 def add_banded(parts):
@@ -162,14 +137,3 @@ def add_finite_rank(parts):
             acc[rc] = acc.get(rc, ZERO) + coeff * v
     return FiniteRankBlock(acc)
 
-
-def add_dense(parts):
-    nrows = parts[0][1].nrows
-    ncols = parts[0][1].ncols
-    out = DenseBlock.zeros(nrows, ncols)
-    for coeff, blk in parts:
-        coeff = Scalar.of(coeff)
-        for r in range(nrows):
-            for c in range(ncols):
-                out.matrix[r][c] = out.matrix[r][c] + coeff * blk.matrix[r][c]
-    return out

@@ -124,8 +124,8 @@ def _textify(payload, indent=""):
 def _load_operator(path):
     try:
         return load(path)
-    except FileNotFoundError:
-        print(f"anop: cannot open {path}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"anop: cannot read {path}: {type(exc).__name__}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
     except SchemaError as exc:
         print(f"anop: parse error: {exc}", file=sys.stderr)

@@ -543,9 +543,7 @@ def assemble_upper(a, b_cols, c_rows):
     if len(b_cols) != n:
         raise HypothesisFailed("coupling columns must match the finite block")
     spaces = a.spaces + (finite(n),)
-    blocks = {}
-    for (i, j), blk in a.blocks.items():
-        blocks[(i, j)] = blk
+    blocks = dict(a.blocks)
     last = len(spaces) - 1
     fr = {}
     for j, col in enumerate(b_cols):
@@ -578,10 +576,13 @@ def _structural_inverse(a):
     structure applies."""
     if all(sp.kind == "finite" for sp in a.spaces):
         sizes = [sp.dim for sp in a.spaces]
-        starts, labels = window_layout(a.spaces, sizes)
+        starts, _ = window_layout(a.spaces, sizes)
+        spans = [(start, start + size) for start, size in zip(starts, sizes)]
         exact = a.is_exact_scalars()
         inv = _dense_inverse(dense_window(a, sizes), exact)
-        return _dense_to_op(a.spaces, labels, inv), exact
+        return OperatorExpr(a.spaces, {
+            (i, j): DenseBlock([row[c0:c1] for row in inv[r0:r1]])
+            for i, (r0, r1) in enumerate(spans) for j, (c0, c1) in enumerate(spans)}), exact
     q = gram(a)
     qq = cogram(a)
     ident = identity_operator(a.spaces)
@@ -601,19 +602,6 @@ def _constant_candidates(q):
     yield Scalar.exact(1)
 
 
-def _dense_to_op(spaces, labels, mat):
-    by_block = {}
-    for r, (ci, k) in enumerate(labels):
-        for c, (cj, kk) in enumerate(labels):
-            v = mat[r][c]
-            if not v.is_zero():
-                by_block.setdefault((ci, cj), {})[(k, kk)] = v
-    blocks = {}
-    for pos, entries in by_block.items():
-        blocks[pos] = FiniteRankBlock(entries)
-    return OperatorExpr(spaces, blocks)
-
-
 def block_upper_inverse(a, b_cols, c_rows, tol=1e-10):
     """Inverse blocks (a^-1, -a^-1 b c^-1, c^-1) of [[a, b], [0, c]] with a
     finite lower-right block. The two-sided products with the assembled
@@ -626,7 +614,7 @@ def block_upper_inverse(a, b_cols, c_rows, tol=1e-10):
     if a_inv is None:
         raise NotInvertible("the (1,1) block is not in an invertible "
                             "structural form")
-    c_exact = a.is_exact_scalars() or not n
+    c_exact = a.is_exact_scalars()
     c_inv = _dense_inverse(c_rows, c_exact)
     ainv_b = [apply(a_inv, col) for col in b_cols]
     y_cols = []

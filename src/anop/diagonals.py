@@ -38,6 +38,8 @@ class DiagonalSeq:
             limit = Scalar.of(limit)
         if decay is not None:
             c, p = float(decay[0]), float(decay[1])
+            if c < 0:
+                raise UncertifiedTail("decay certificate needs C >= 0")
             if p <= 0:
                 raise UncertifiedTail("decay certificate needs p > 0")
             decay = (c, p)

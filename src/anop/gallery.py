@@ -132,7 +132,8 @@ def theorem_form(levels, m_e, tail_power=1, h3_dim=0, a_entries=(), b_matrix=Non
         blk = DenseBlock([[Scalar.of(v) for v in row] for row in mat])
         if any(len(row) != n for row in mat):
             raise BadParams("level matrices must be square")
-        if mat_mul(blk.adjoint().matrix, blk.matrix) != mat_identity(n):
+        adj = [[v.conj() for v in col] for col in zip(*blk.matrix)]
+        if mat_mul(adj, blk.matrix) != mat_identity(n):
             raise BadParams("level matrices must be unitary")
         summands.append(OperatorExpr((finite(n),), {(0, 0): blk.scaled(lam)}))
     try:

@@ -2,8 +2,8 @@
 
 An OperatorExpr is a square block matrix over an ordered list of component
 spaces. Diagonal l2 blocks are banded with eventually-constant or
-rule-governed diagonals, every other block touching an l2 component is
-finitely supported, and finite x finite blocks are dense. The class is
+rule-governed diagonals and every other block, finite x finite included,
+is a finitely supported FiniteRankBlock. The class is
 closed under add, scale, multiply and adjoint; corner data produced by
 products is absorbed into diagonal prefixes so that each operator keeps a
 single canonical form.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (BandedBlock, DenseBlock, FiniteRankBlock, add_banded,
-                     add_dense, add_finite_rank)
+                     add_finite_rank)
 from .diagonals import EXACT, DiagonalSeq
 from .errors import NSmallerThanBand, ShapeMismatch, UncertifiedTail
 from .ratfn import RationalFn
@@ -55,31 +55,20 @@ class OperatorExpr:
             if not (0 <= i < len(spaces) and 0 <= j < len(spaces)):
                 raise ShapeMismatch("block index outside space list")
             si, sj = spaces[i], spaces[j]
-            if si.kind == "finite" and sj.kind == "finite":
-                if isinstance(blk, FiniteRankBlock):
-                    mat = DenseBlock.zeros(si.dim, sj.dim)
-                    for (r, c), v in blk.entries.items():
-                        mat.matrix[r][c] = v
-                    blk = mat
-                if not isinstance(blk, DenseBlock):
-                    raise ShapeMismatch("finite x finite blocks must be dense")
-                if blk.nrows != si.dim or blk.ncols != sj.dim:
-                    raise ShapeMismatch("dense block has the wrong shape")
-            elif i == j and si.kind == "l2":
+            if i == j and si.kind == "l2":
                 if isinstance(blk, FiniteRankBlock):
                     blk = BandedBlock({}).absorb_entries(blk.entries)
                 if not isinstance(blk, BandedBlock):
                     raise ShapeMismatch("diagonal l2 blocks must be banded")
             else:
-                if isinstance(blk, BandedBlock):
-                    raise ShapeMismatch("banded blocks only on diagonal l2 positions")
                 if isinstance(blk, DenseBlock):
-                    blk = FiniteRankBlock({(r, c): blk.matrix[r][c]
-                                           for r in range(blk.nrows)
-                                           for c in range(blk.ncols)})
+                    blk = _dense_entries(blk, si, sj)
                 if not isinstance(blk, FiniteRankBlock):
-                    raise ShapeMismatch("cross blocks must be finitely supported")
+                    raise ShapeMismatch("blocks off the l2 diagonal must be finite-rank")
                 _check_fr_extent(blk, si, sj)
+                if si.kind == sj.kind == "finite":
+                    # row-major, the order every finite x finite sum follows
+                    blk = FiniteRankBlock(dict(sorted(blk.entries.items())))
             if not blk.is_zero():
                 norm[(i, j)] = blk
         self.spaces = spaces
@@ -118,6 +107,18 @@ class OperatorExpr:
         return f"OperatorExpr[{' + '.join(parts) or '0'}]"
 
 
+def _dense_entries(blk, si, sj):
+    """The FiniteRankBlock of a DenseBlock whose rows have equal length and,
+    at a finite x finite position, form a matrix of the position's shape."""
+    rows = blk.matrix
+    nrows, ncols = ((si.dim, sj.dim) if si.kind == sj.kind == "finite"
+                    else (len(rows), len(rows[0]) if rows else 0))
+    if [len(row) for row in rows] != [ncols] * nrows:
+        raise ShapeMismatch(f"dense block rows do not form a {nrows}x{ncols} matrix")
+    return FiniteRankBlock({(r, c): v for r, row in enumerate(rows)
+                            for c, v in enumerate(row)})
+
+
 def _check_fr_extent(blk, si, sj):
     for (r, c) in blk.entries:
         if si.dim is not None and r >= si.dim:
@@ -137,16 +138,14 @@ def identity_operator(spaces):
         if sp.kind == "l2":
             blocks[(i, i)] = BandedBlock({0: DiagonalSeq(limit=Scalar.exact(1))})
         else:
-            blocks[(i, i)] = DenseBlock(
-                [[Scalar.exact(1 if r == c else 0) for c in range(sp.dim)]
-                 for r in range(sp.dim)])
+            blocks[(i, i)] = FiniteRankBlock({(k, k): Scalar.exact(1)
+                                              for k in range(sp.dim)})
     return OperatorExpr(spaces, blocks)
 
 
 # -- combine -------------------------------------------------------------------
 
-_ADD = {BandedBlock: add_banded, FiniteRankBlock: add_finite_rank,
-        DenseBlock: add_dense}
+_ADD = {BandedBlock: add_banded, FiniteRankBlock: add_finite_rank}
 
 
 def combine(terms):
@@ -293,14 +292,6 @@ def _banded_product_entry(a, b, r, c):
     return acc
 
 
-def _sparse_entries(blk):
-    if isinstance(blk, FiniteRankBlock):
-        return blk.entries
-    # a DenseBlock
-    return {(r, c): v for r, row in enumerate(blk.matrix)
-            for c, v in enumerate(row) if not v.is_zero()}
-
-
 def _mul_banded_sparse(a, entries):
     out = {}
     for (r, c), v in entries.items():
@@ -360,18 +351,14 @@ def multiply(a, b):
                     # banded blocks sit only on the l2 diagonal, so i == k == j
                     banded_piece = _mul_banded(ba, bb)
                 elif a_banded:
-                    part = _mul_banded_sparse(ba, _sparse_entries(bb))
-                    _acc_entries(sparse_acc, part)
+                    _acc_entries(sparse_acc, _mul_banded_sparse(ba, bb.entries))
                 elif b_banded:
-                    part = _mul_sparse_banded(_sparse_entries(ba), bb)
-                    _acc_entries(sparse_acc, part)
+                    _acc_entries(sparse_acc, _mul_sparse_banded(ba.entries, bb))
                 else:
-                    part = _mul_sparse_sparse(_sparse_entries(ba), _sparse_entries(bb))
-                    _acc_entries(sparse_acc, part)
+                    _acc_entries(sparse_acc, _mul_sparse_sparse(ba.entries, bb.entries))
             if banded_piece is not None:
                 blocks[(i, j)] = banded_piece.absorb_entries(sparse_acc)
             elif sparse_acc:
-                # OperatorExpr makes a finite x finite position dense
                 blocks[(i, j)] = FiniteRankBlock(sparse_acc)
     return OperatorExpr(spaces, blocks)
 
@@ -402,17 +389,11 @@ def _image(op, xs, entry, zero):
                     val = entry(dseq.entry(min(r, c))) * v
                     if val != zero:
                         tgt[r] = tgt.get(r, zero) + val
-        elif isinstance(blk, FiniteRankBlock):
+        else:
             for (r, c), w in blk.entries.items():
                 v = src.get(c)
                 if v is not None:
                     tgt[r] = tgt.get(r, zero) + entry(w) * v
-        else:
-            for c, v in src.items():
-                for r in range(blk.nrows):
-                    w = blk.matrix[r][c]
-                    if not w.is_zero():
-                        tgt[r] = tgt.get(r, zero) + entry(w) * v
     return out
 
 
@@ -461,16 +442,10 @@ def dense_window(op, sizes):
                         v = dseq.entry(min(r, c))
                         if not v.is_zero():
                             mat[ri + r][cj + c] = mat[ri + r][cj + c] + v
-        elif isinstance(blk, FiniteRankBlock):
+        else:
             for (r, c), v in blk.entries.items():
                 if r < nr and c < nc:
                     mat[ri + r][cj + c] = mat[ri + r][cj + c] + v
-        else:
-            for r in range(blk.nrows):
-                for c in range(blk.ncols):
-                    v = blk.matrix[r][c]
-                    if not v.is_zero():
-                        mat[ri + r][cj + c] = mat[ri + r][cj + c] + v
     return mat
 
 
@@ -507,16 +482,12 @@ def truncate(op, n):
                         mat[ri + r, cj + c] += complex(v)
                         bound += radius
                 bound += abs(dseq.limit) + dseq.tail_dev_bound(n)
-        elif isinstance(blk, FiniteRankBlock):
+        else:
             for (r, c), v in blk.entries.items():
                 if r < nr and c < nc:
                     mat[ri + r, cj + c] += complex(v)
                 else:
                     bound += abs(v)
-        else:
-            for r in range(blk.nrows):
-                for c in range(blk.ncols):
-                    mat[ri + r, cj + c] += complex(blk.matrix[r][c])
     return TruncationResult(mat, labels, bound)
 
 

@@ -7,16 +7,21 @@ literals are [re, im] where each part is a number or a rational string
 values round-trip bit-exactly. Numbers, the coefficients of entry rules
 among them, must be finite and at most 2**200 in magnitude, indices
 (offset, row, col, r, c) must be integers, and the space list must not be
-empty.
+empty. A "dense" matrix is rectangular and, at a finite x finite position,
+has that position's shape; entry indices r, c are at least 0; a decay
+{"C", "p"} needs C >= 0 and p > 0. A finite x finite block is written as
+"dense" with its full matrix, any other block off the l2 diagonal as
+"finite_rank". A file that breaks a rule raises SchemaError.
 """
 
+import contextlib
 import json
 import math
 from fractions import Fraction
 
 from .blocks import BandedBlock, DenseBlock, FiniteRankBlock
 from .diagonals import DiagonalSeq
-from .errors import SchemaError
+from .errors import AnopError, SchemaError
 from .operators import L2, OperatorExpr, finite
 from .ratfn import RationalFn
 from .scalars import Scalar
@@ -96,14 +101,16 @@ def operator_to_json_dict(op):
                     ent["decay"] = {"C": d.decay[0], "p": d.decay[1]}
                 diags.append(ent)
             blocks.append({"row": i, "col": j, "kind": "banded", "diagonals": diags})
-        elif isinstance(blk, FiniteRankBlock):
+        elif op.spaces[i].kind == op.spaces[j].kind == "finite":
+            # a zero entry takes the tier of the block it sits in
+            zero = Scalar.exact(0) if blk.is_exact_scalars() else Scalar.inexact(0)
+            blocks.append({"row": i, "col": j, "kind": "dense", "matrix": [
+                [scalar_to_json(blk.entries.get((r, c), zero)) for c in range(op.spaces[j].dim)]
+                for r in range(op.spaces[i].dim)]})
+        else:
             blocks.append({"row": i, "col": j, "kind": "finite_rank",
                            "entries": [{"r": r, "c": c, "value": scalar_to_json(v)}
                                        for (r, c), v in sorted(blk.entries.items())]})
-        else:
-            blocks.append({"row": i, "col": j, "kind": "dense",
-                           "matrix": [[scalar_to_json(v) for v in row]
-                                      for row in blk.matrix]})
     return {"spaces": spaces, "blocks": blocks}
 
 
@@ -119,6 +126,23 @@ def _index(obj, key, path):
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError(f"{key!r} must be an integer, got {v!r}", path)
     return v
+
+
+def _list(x, what, path):
+    if not isinstance(x, list):
+        raise SchemaError(f"{what} must be a list", path)
+    return x
+
+
+@contextlib.contextmanager
+def _building(path):
+    """An AnopError raised while a diagonal or block is built, as a SchemaError."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except AnopError as exc:
+        raise SchemaError(str(exc), path) from None
 
 
 def _finite_float(x, path):
@@ -156,10 +180,10 @@ def _rule_from_json(obj, path):
 
 
 def _diag_from_json(obj, path):
-    if "offset" not in obj:
-        raise SchemaError("diagonal needs an 'offset'", path)
+    if not isinstance(obj, dict) or "offset" not in obj:
+        raise SchemaError("diagonal must be an object with an 'offset'", path)
     prefix = [scalar_from_json(v, f"{path}.prefix[{k}]")
-              for k, v in enumerate(obj.get("prefix", []))]
+              for k, v in enumerate(_list(obj.get("prefix", []), "prefix", path))]
     limit = scalar_from_json(obj["limit"], path + ".limit") if "limit" in obj \
         else Scalar.exact(0)
     rule = _rule_from_json(obj["rule"], path + ".rule") if "rule" in obj else None
@@ -170,7 +194,8 @@ def _diag_from_json(obj, path):
             raise SchemaError("decay must carry C and p", path + ".decay")
         decay = (_finite_float(d["C"], path + ".decay.C"),
                  _finite_float(d["p"], path + ".decay.p"))
-    return _index(obj, "offset", path), DiagonalSeq(prefix, limit, rule, decay)
+    with _building(path):
+        return _index(obj, "offset", path), DiagonalSeq(prefix, limit, rule, decay)
 
 
 def _builtin(obj, path="builtin"):
@@ -184,7 +209,7 @@ def _builtin(obj, path="builtin"):
             {1: DiagonalSeq(limit=scale)})})
     elif name == "diag":
         entries = [scale * scalar_from_json(v, f"{path}.entries[{k}]")
-                   for k, v in enumerate(obj.get("entries", []))]
+                   for k, v in enumerate(_list(obj.get("entries", []), "entries", path))]
         limit = scale * scalar_from_json(obj["limit"], path + ".limit") \
             if "limit" in obj else Scalar.exact(0)
         rule = None
@@ -194,7 +219,8 @@ def _builtin(obj, path="builtin"):
                 rule = rule.scale(Fraction(scale.re))
             else:
                 raise SchemaError("diag rule requires an exact real scale", path)
-        diag = DiagonalSeq(entries, limit, rule)
+        with _building(path):
+            diag = DiagonalSeq(entries, limit, rule)
     else:
         raise SchemaError(f"unknown builtin {name!r}", path)
     return OperatorExpr((L2,), {(0, 0): BandedBlock({0: diag})})
@@ -212,44 +238,45 @@ def operator_from_json_dict(obj):
     spaces = tuple(_space_from_json(s, f"spaces[{i}]")
                    for i, s in enumerate(obj["spaces"]))
     blocks = {}
-    for bi, b in enumerate(obj.get("blocks", [])):
+    for bi, b in enumerate(_list(obj.get("blocks", []), "blocks", "blocks")):
         path = f"blocks[{bi}]"
         if not isinstance(b, dict) or "row" not in b or "col" not in b:
             raise SchemaError("block needs 'row' and 'col'", path)
         i, j = _index(b, "row", path), _index(b, "col", path)
         if not (0 <= i < len(spaces) and 0 <= j < len(spaces)):
             raise SchemaError("block row/col outside the space list", path)
-        kind = b.get("kind")
-        if kind == "banded":
-            diags = {}
-            for di, d in enumerate(b.get("diagonals", [])):
-                off, seq = _diag_from_json(d, f"{path}.diagonals[{di}]")
-                if off in diags:
-                    raise SchemaError(f"duplicate offset {off}", path)
-                diags[off] = seq
-            blk = BandedBlock(diags)
-        elif kind == "finite_rank":
-            entries = {}
-            for ei, e in enumerate(b.get("entries", [])):
-                epath = f"{path}.entries[{ei}]"
-                if "r" not in e or "c" not in e or "value" not in e:
-                    raise SchemaError("entry needs r, c, value", epath)
-                entries[(_index(e, "r", epath), _index(e, "c", epath))] = scalar_from_json(
-                    e["value"], epath + ".value")
-            blk = FiniteRankBlock(entries)
-        elif kind == "dense":
-            blk = DenseBlock([[scalar_from_json(v, f"{path}.matrix[{r}][{c}]")
-                               for c, v in enumerate(row)]
-                              for r, row in enumerate(b.get("matrix", []))])
-        else:
-            raise SchemaError(f"unknown block kind {kind!r}", path)
         if (i, j) in blocks:
             raise SchemaError(f"duplicate block position ({i},{j})", path)
-        blocks[(i, j)] = blk
-    try:
+        with _building(path):
+            blocks[(i, j)] = _block_from_json(b, path)
+    with _building(None):
         return OperatorExpr(spaces, blocks)
-    except Exception as exc:
-        raise SchemaError(str(exc))
+
+
+def _block_from_json(b, path):
+    kind = b.get("kind")
+    if kind == "banded":
+        diags = {}
+        for di, d in enumerate(_list(b.get("diagonals", []), "diagonals", path)):
+            off, seq = _diag_from_json(d, f"{path}.diagonals[{di}]")
+            if off in diags:
+                raise SchemaError(f"duplicate offset {off}", path)
+            diags[off] = seq
+        return BandedBlock(diags)
+    if kind == "finite_rank":
+        entries = {}
+        for ei, e in enumerate(_list(b.get("entries", []), "entries", path)):
+            epath = f"{path}.entries[{ei}]"
+            if not isinstance(e, dict) or not {"r", "c", "value"} <= e.keys():
+                raise SchemaError("entry needs r, c, value", epath)
+            entries[(_index(e, "r", epath), _index(e, "c", epath))] = scalar_from_json(
+                e["value"], epath + ".value")
+        return FiniteRankBlock(entries)
+    if kind == "dense":
+        return DenseBlock([[scalar_from_json(v, f"{path}.matrix[{r}][{c}]")
+                            for c, v in enumerate(_list(row, "row", f"{path}.matrix[{r}]"))]
+                           for r, row in enumerate(_list(b.get("matrix", []), "matrix", path))])
+    raise SchemaError(f"unknown block kind {kind!r}", path)
 
 
 def parse(text):

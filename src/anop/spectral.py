@@ -124,13 +124,9 @@ def _window_norm_bound(d):
 
 
 def _blocks_identical(a, b):
-    if set(a.blocks) != set(b.blocks):
-        return False
-    for pos, blk in a.blocks.items():
-        other = b.blocks[pos]
-        if type(blk) is not type(other) or not blk.structurally_equal(other):
-            return False
-    return True
+    # a and b share their spaces, so the blocks at one position share a kind
+    return a.blocks.keys() == b.blocks.keys() and all(
+        blk.structurally_equal(b.blocks[pos]) for pos, blk in a.blocks.items())
 
 
 def _entries_available(op):

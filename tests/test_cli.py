@@ -161,6 +161,18 @@ def test_parse_error_exit_65(tmp_path):
     assert code == 65
     _, ex1 = run_cli(["gallery", "example1"])
     _, ex2 = run_cli(["gallery", "example2"])
+    dense = '"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]]'
+    diagonals = '"diagonals":[{"limit":[2,0],"offset":1,"prefix":[]}]'
+    entries = '"entries":[{"c":0,"r":0,"value":[1,0]}]'
+    shift = '"limit":[2,0],"offset":1'
+
+    def finite_rank(kind, dim, row, col, r, c):
+        """One finite_rank entry (r, c) at (row, col) over (kind, l2)."""
+        space = {"kind": kind, "dim": dim} if dim else {"kind": kind}
+        return json.dumps({"spaces": [space, {"kind": "l2"}], "blocks": [
+            {"row": row, "col": col, "kind": "finite_rank",
+             "entries": [{"r": r, "c": c, "value": [5, 0]}]}]})
+    assert all(part in ex1 for part in (dense, diagonals, entries, shift))
     hostile = {
         "nan": ex1.replace('"value":[1,0]', '"value":[NaN,0]'),
         "overflow": ex1.replace('"limit":[2,0]', '"limit":[1e400,0]'),
@@ -171,6 +183,27 @@ def test_parse_error_exit_65(tmp_path):
         "empty": '{"blocks":[],"spaces":[]}',
         # a rule coefficient is a number like any other
         "rule_num": ex2.replace('"num":[1]', f'"num":[{10 ** 200}]'),
+        # a dense matrix is rectangular and has its component's shape
+        "ragged": ex1.replace(dense, '"matrix":[[[1,0],[2,0]],[[3,0]]]'),
+        "long_row": ex1.replace(dense, '"matrix":[[[1,0],[0,0]],[[0,0],[2,0],[7,0]]]'),
+        # a negative entry index once wrapped around to the last row or column
+        "negative_col": finite_rank("finite", 2, 0, 0, 0, -1),
+        "negative_row_cross": finite_rank("finite", 2, 0, 1, -1, 0),
+        "negative_row_l2_diagonal": finite_rank("l2", None, 0, 0, -1, 0),
+        # a number where the format names a list or an object
+        "blocks_number": '{"blocks":5,"spaces":[{"kind":"l2"}]}',
+        "diagonals_number": ex1.replace(diagonals, '"diagonals":5'),
+        "diagonal_number": ex1.replace(diagonals, '"diagonals":[5]'),
+        "prefix_number": ex1.replace('"prefix":[]', '"prefix":5', 1),
+        "entries_number": ex1.replace(entries, '"entries":5'),
+        "entry_number": ex1.replace(entries, '"entries":[5]'),
+        "matrix_number": ex1.replace(dense, '"matrix":5'),
+        "row_number": ex1.replace(dense, '"matrix":[5]'),
+        "diag_entries_number": '{"builtin":"diag","entries":5}',
+        # decay certificates need C >= 0 and p > 0, rules a pole-free tail
+        "decay_p": ex1.replace(shift, '"decay":{"C":1,"p":-1},' + shift),
+        "decay_c": ex1.replace(shift, '"decay":{"C":-1,"p":1},' + shift),
+        "rule_pole": ex2.replace('"den":[1,1]', '"den":[-1,1]'),
     }
     for name, text in hostile.items():
         assert text not in (ex1, ex2)
@@ -183,6 +216,16 @@ def test_parse_error_exit_65(tmp_path):
                      ["certify", str(p)]):
             code, out = run_cli(argv + ["--samples", "50"])
             assert code == 65 and out == "", (name, argv)
+
+
+def test_unreadable_file_exits_65(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"spaces": "\xff\xfe"}')
+    for path in (tmp_path, binary, tmp_path / "missing.json"):
+        code, out = run_cli(["spectrum", str(path)])
+        assert code == 65 and out == "", path
+        err = capsys.readouterr().err
+        assert err.startswith("anop: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("power, argv", [

@@ -17,8 +17,8 @@ from anop.decomposition import (assemble_upper, block_upper_inverse,
                                 coupling_vanishes, invariance_check,
                                 m_star_equals_m_check, peel_decompose,
                                 reducing_check, u_plus_d_view)
-from anop.errors import (HypothesisFailed, NotInvertible, StarParanormalRefuted,
-                         StructureViolation)
+from anop.errors import (HypothesisFailed, NotInvertible, ShapeMismatch,
+                         StarParanormalRefuted, StructureViolation)
 from anop.gallery import (diag_operator, example1, flip_unitary,
                           nilpotent_pair, random_rational_unitary,
                           random_theorem_form, right_shift, theorem_form)
@@ -185,7 +185,7 @@ def test_block_inverse_2x2():
     b = [VectorExpr(a.spaces, [{0: Scalar.exact(1)}])]
     inv = block_upper_inverse(a, b, [[1]])
     assert inv.exact and inv.residual == 0.0
-    assert inv.a_inv.blocks[(0, 0)].matrix[0][0] == Scalar.exact(Fraction(1, 2))
+    assert inv.a_inv.blocks[(0, 0)].entries[(0, 0)] == Scalar.exact(Fraction(1, 2))
     assert inv.y_cols[0].get(0, 0) == Scalar.exact(Fraction(-1, 2))
     assert inv.c_inv[0][0] == Scalar.exact(1)
 
@@ -202,6 +202,13 @@ def test_block_inverse_scaled_unitary_and_random_c():
          for i in range(3)]
     inv = block_upper_inverse(a, b, c)
     assert inv.exact and inv.residual == 0.0
+
+
+def test_block_inverse_refuses_an_empty_finite_block():
+    # the finite block lives on its own finite component, which needs a
+    # positive dimension
+    with pytest.raises(ShapeMismatch):
+        block_upper_inverse(flip_unitary(), [], [])
 
 
 def test_block_inverse_singular_block_rejected():

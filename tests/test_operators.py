@@ -4,6 +4,7 @@ truncation behavior, checked against independent dense-matrix oracles."""
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from anop.blocks import BandedBlock, DenseBlock, FiniteRankBlock
 from anop.diagonals import DiagonalSeq
 from anop.errors import NSmallerThanBand, ShapeMismatch
 from anop.exactla import mat_mul
-from anop.gallery import example1, example2, right_shift
+from anop.gallery import example1, example2, random_rational_unitary, right_shift
 from anop.operators import (L2, OperatorExpr, adjoint, apply, combine,
                             corner_sizes, dense_window, finite, identity_operator,
                             merge_sizes, multiply, ops_equal_exact, truncate,
@@ -286,24 +287,106 @@ def test_banded_block_off_the_l2_diagonal_is_refused(spaces, pos):
         OperatorExpr(spaces, {pos: blk})
 
 
-def test_multiply_of_finite_operators_leaves_dense_blocks():
-    # A = [[0, 1], [0, 0]] on C^2 (+) a coupling into C^3: every product
-    # position is finite x finite, some only partly filled
+def _assert_canonical(op, name):
+    """A BandedBlock exactly at the l2 diagonal positions, a FiniteRankBlock
+    everywhere else, with nonzero entries inside the finite dimensions, in
+    row-major order at finite x finite positions."""
+    for (i, j), blk in op.blocks.items():
+        si, sj = op.spaces[i], op.spaces[j]
+        if i == j and si.kind == "l2":
+            assert isinstance(blk, BandedBlock), (name, i, j)
+            continue
+        assert type(blk) is FiniteRankBlock, (name, i, j)
+        for (r, c), v in blk.entries.items():
+            assert 0 <= r and 0 <= c and not v.is_zero(), (name, i, j, r, c)
+            assert si.dim is None or r < si.dim, (name, i, j, r)
+            assert sj.dim is None or c < sj.dim, (name, i, j, c)
+        if si.kind == sj.kind == "finite":
+            assert list(blk.entries) == sorted(blk.entries), (name, i, j)
+
+
+def test_every_derived_operator_is_canonical():
+    from anop.decomposition import block_upper_inverse, compress_to_complement
+    from anop.errors import AnopError
+    from anop.serialize import load
+    from anop.spectral import cogram, gram, modulus_summary, summary_eigenspace
+    paths = sorted((Path(__file__).parent / "golden" / "operators").glob("*.json"))
+    ops = [(path.stem, load(str(path))) for path in paths]
+    # 2U (+) 2I: its inverse is the scaled adjoint, not a dense elimination
+    u = random_rational_unitary(random.Random(9), 4)
+    ops.append(("2U+2I", OperatorExpr((finite(4), L2), {
+        (0, 0): DenseBlock(u).scaled(2),
+        (1, 1): BandedBlock({0: DiagonalSeq(limit=Scalar.exact(2))})})))
+    counts = {"compressed": 0, "a_inv": 0}
+    for name, t in ops:
+        ts, tts, ttstar = adjoint(t), gram(t), cogram(t)
+        for op in (t, ts, tts, ttstar, multiply(t, t), tts - ttstar):
+            _assert_canonical(op, name)
+        try:
+            kernel = summary_eigenspace(modulus_summary(t).base, Scalar.exact(0))
+            compressed = compress_to_complement(t, kernel)
+        except AnopError:
+            pass  # no finite-dimensional kernel to compress away
+        else:
+            _assert_canonical(compressed, name + " compressed")
+            counts["compressed"] += compressed is not t
+        try:
+            inv = block_upper_inverse(t, [VectorExpr(t.spaces)], [[Scalar.exact(1)]])
+        except AnopError:
+            pass  # not in an invertible structural form
+        else:
+            _assert_canonical(inv.a_inv, name + " a_inv")
+            counts["a_inv"] += 1
+    assert counts == {"compressed": 2, "a_inv": 2}, counts
+    # A = [[N, B], [C, 0]] with N = [[0, 1], [0, 0]] on C^2 and couplings
+    # into C^3: A^2 = [[0, NB], [CN, 0]], as N^2 = BC = CB = 0
     a = OperatorExpr((finite(2), finite(3)), {
         (0, 0): DenseBlock([[0, 1], [0, 0]]),
         (0, 1): FiniteRankBlock({(1, 2): 5}),
         (1, 0): FiniteRankBlock({(0, 0): Fraction(1, 2)})})
-    for p in (multiply(a, a), multiply(a, adjoint(a)), multiply(adjoint(a), a)):
+    for p in (a, multiply(a, a), multiply(a, adjoint(a)), multiply(adjoint(a), a)):
         assert p.blocks
-        for (i, j), blk in p.blocks.items():
-            assert isinstance(blk, DenseBlock)
-            assert (blk.nrows, blk.ncols) == (p.spaces[i].dim, p.spaces[j].dim)
-            assert [len(row) for row in blk.matrix] == [blk.ncols] * blk.nrows
-    # A^2 = [[N^2 + BC, NB], [CN, CB]] with N^2 = BC = CB = 0
+        _assert_canonical(p, "A")
     sq = multiply(a, a)
     assert sorted(sq.blocks) == [(0, 1), (1, 0)]
-    assert sq.blocks[(0, 1)].matrix == [[0, 0, 5], [0, 0, 0]]
-    assert sq.blocks[(1, 0)].matrix == [[0, Fraction(1, 2)], [0, 0], [0, 0]]
-    # [[0, 1], [0, 0]]^2 = 0 leaves no block at all
+    assert sq.blocks[(0, 1)].entries == {(0, 2): 5}
+    assert sq.blocks[(1, 0)].entries == {(0, 1): Fraction(1, 2)}
+    # N^2 = 0 leaves no block at all
     nil = OperatorExpr((finite(2),), {(0, 0): DenseBlock([[0, 1], [0, 0]])})
     assert not multiply(nil, nil).blocks
+
+
+def test_dense_blocks_are_read_only_where_operators_are_built():
+    """A DenseBlock is an input form: apart from building one, src/anop
+    names it only in OperatorExpr.__init__, which turns it into a
+    FiniteRankBlock. A branch on it anywhere else would bring back a third
+    block kind for the algebra to handle."""
+    import ast
+    import anop
+
+    def sites(source):
+        found = []
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    visit(child, scope + (child.name,))
+                elif isinstance(child, ast.Name) and child.id == "DenseBlock":
+                    found.append(".".join(scope))
+                elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                    # building a DenseBlock names it, but only its arguments count
+                    for arg in child.args + [k.value for k in child.keywords]:
+                        visit(ast.Expression(arg), scope)
+                else:
+                    visit(child, scope)
+        visit(ast.parse(source), ())
+        return found
+
+    probe = ("class C:\n    def f(self, b):\n        x = DenseBlock([[1]])\n"
+             "        return isinstance(b, (DenseBlock, int))\n"
+             "def g(b):\n    kind = DenseBlock\n    return type(b) is kind\n")
+    assert sites(probe) == ["C.f", "g"]
+    found = []
+    for path in sorted(Path(anop.__file__).parent.glob("*.py")):
+        found += [f"{path.stem}.{site}" for site in sites(path.read_text())]
+    assert found == ["operators.OperatorExpr.__init__"]

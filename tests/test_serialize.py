@@ -3,7 +3,7 @@ import json
 import pytest
 
 from anop.diagonals import DiagonalSeq
-from anop.errors import SchemaError
+from anop.errors import SchemaError, UncertifiedTail
 from anop.gallery import example1, example2, right_shift
 from anop.operators import adjoint, apply, multiply, ops_equal_exact
 from anop.ratfn import RationalFn
@@ -50,6 +50,17 @@ def test_a_declared_decay_never_tightens_the_rule_certificate():
     for seq in seqs:
         assert seq.decay == derived
         assert seq.tail_dev_bound(3) >= abs(complex(seq.entry(3) - seq.limit)) == 0.25
+
+
+def test_a_negative_decay_constant_is_refused():
+    # a negative envelope C / (i+1)^p would make every tail bound negative
+    with pytest.raises(UncertifiedTail):
+        DiagonalSeq(limit=Scalar.exact(2), decay=(-1, 1))
+    with pytest.raises(SchemaError, match=r"C >= 0.*blocks\[0\]\.diagonals\[0\]"):
+        parse('{"spaces": [{"kind": "l2"}], "blocks": [{"row": 0, "col": 0, '
+              '"kind": "banded", "diagonals": [{"offset": 1, "limit": [2, 0], '
+              '"decay": {"C": -1, "p": 1}}]}]}')
+    assert DiagonalSeq(limit=Scalar.exact(2), decay=(0, 1)).tail_dev_bound(3) == 0.0
 
 
 def test_round_trip_random_exact_operators():
