@@ -614,7 +614,7 @@ def block_upper_inverse(a, b_cols, c_rows, tol=1e-10):
     if a_inv is None:
         raise NotInvertible("the (1,1) block is not in an invertible "
                             "structural form")
-    c_exact = a.is_exact_scalars()
+    c_exact = all(Scalar.of(v).is_exact for row in c_rows for v in row)
     c_inv = _dense_inverse(c_rows, c_exact)
     ainv_b = [apply(a_inv, col) for col in b_cols]
     y_cols = []

@@ -28,6 +28,7 @@ writes its answer into them.
   blocks, so each block's pivots and reduced rows are those of the whole
   matrix, padded with zeros; the pivots of the whole are the sorted union of
   the blocks' pivots, and each row is divided by its own block's last pivot.
+  `spectral` splits its summary corners with the same `connected_blocks`.
 
 The reduced row echelon form of a matrix is unique, so the basis and the
 inverse read off it are the same exact Scalars the reference `_rref` gives.
@@ -48,14 +49,6 @@ def mat_copy(m):
 
 def mat_identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_sub_diag(m, lam):
-    """m - lam*I for a Scalar lam."""
-    out = mat_copy(m)
-    for i in range(len(m)):
-        out[i][i] = out[i][i] - lam
-    return out
 
 
 def mat_vec(m, v):
@@ -159,10 +152,11 @@ def _fraction_free_gauss_jordan(rows, ncols):
     return piv_cols, (qa, qb)
 
 
-def _connected_blocks(rows, ncols):
-    """The connected blocks of the nonzero pattern of the first ncols columns
-    of rows, as (row indices, column indices) pairs. A row with no nonzero
-    there, and a column with none, lies in no block."""
+def connected_blocks(patterns, ncols):
+    """The connected blocks of a nonzero pattern over ncols columns, given as
+    each row's list of nonzero columns: (row indices, column indices) pairs,
+    each list increasing. A row with no nonzero, and a column with none, lies
+    in no block."""
     parent = list(range(ncols))
 
     def find(c):
@@ -171,17 +165,15 @@ def _connected_blocks(rows, ncols):
             c = parent[c]
         return c
 
-    heads, touched = [], [False] * ncols
-    for row in rows:
-        cols = [c for c in range(ncols) if row[c] != (0, 0)]
-        heads.append(cols[0] if cols else None)
+    touched = [False] * ncols
+    for cols in patterns:
         for c in cols:
             touched[c] = True
             parent[find(c)] = find(cols[0])
     blocks = {}
-    for i, h in enumerate(heads):
-        if h is not None:
-            blocks.setdefault(find(h), ([], []))[0].append(i)
+    for i, cols in enumerate(patterns):
+        if cols:
+            blocks.setdefault(find(cols[0]), ([], []))[0].append(i)
     for c in range(ncols):
         if touched[c]:
             blocks[find(c)][1].append(c)
@@ -197,7 +189,8 @@ def _row_reduce(m, ncols):
         return piv, lambda r, c: work[r][c]
     rows = _gaussian_rows(m)
     owner = {}  # pivot column -> (block's rows, column positions, last pivot, row)
-    for brows, bcols in _connected_blocks(rows, ncols):
+    patterns = [[c for c in range(ncols) if row[c] != (0, 0)] for row in rows]
+    for brows, bcols in connected_blocks(patterns, ncols):
         nb = len(bcols)
         bcols += [c for c in range(ncols, len(m[0]))
                   if any(rows[i][c] != (0, 0) for i in brows)]

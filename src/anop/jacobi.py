@@ -67,17 +67,36 @@ def _phase_normalize(vec):
     return vec
 
 
+def _pair_key(w, vec):
+    """Sort key of an eigenpair with a phase-normalised vector: descending
+    eigenvalue, then a lexicographic tie-break on the vector's entries."""
+    return round(-w, 12), tuple(np.round(np.concatenate([vec.real, vec.imag]), 9))
+
+
 def _order_pairs(w, v):
-    """Descending eigenvalue, lexicographic tie-break on eigenvector entries."""
     cols = []
     for k in range(len(w)):
         vec = _phase_normalize(v[:, k].astype(complex))
-        key = tuple(np.round(np.concatenate([vec.real, vec.imag]), 9))
-        cols.append((-w[k], key, w[k], vec))
-    cols.sort(key=lambda t: (round(t[0], 12), t[1]))
-    wv = np.array([t[2] for t in cols])
-    vv = np.column_stack([t[3] for t in cols]) if cols else np.zeros((0, 0), complex)
+        cols.append((_pair_key(w[k], vec), w[k], vec))
+    cols.sort(key=lambda t: t[0])
+    wv = np.array([t[1] for t in cols])
+    vv = np.column_stack([t[2] for t in cols]) if cols else np.zeros((0, 0), complex)
     return wv, vv
+
+
+def diagonal_pairs(d):
+    """sym_eigen(np.diag(d)) for a real vector d, without the solve: the Jacobi
+    branch leaves a diagonal matrix as it is, so its pairs are the entries of
+    0.5 (d + d) with the unit vectors, which are their own phase normal form,
+    in `_order_pairs`' order. None above JACOBI_MAX_N, where sym_eigen takes
+    LAPACK, or when 0.5 (d + d) is not finite."""
+    d = np.asarray(d, dtype=float)
+    w = 0.5 * (d + d)
+    if len(w) > JACOBI_MAX_N or not np.all(np.isfinite(w)):
+        return None
+    eye = np.eye(len(w), dtype=complex)
+    order = sorted(range(len(w)), key=lambda k: _pair_key(w[k], eye[:, k]))
+    return [(float(w[k]), eye[:, k].copy()) for k in order]
 
 
 def hermitian_eig(m, tol=JACOBI_TOL):
@@ -142,6 +161,9 @@ def sym_eigen(m, tol=1e-10):
     if not herm_dev <= tol:
         raise NotSelfAdjoint(f"||m - m*|| = {herm_dev:.3g} exceeds tol {tol:.3g}")
     mh = 0.5 * (m + m.conj().T)
+    # finite entries past half the float range overflow in m + m*
+    if not np.all(np.isfinite(mh)):
+        raise NotSelfAdjoint("m + m* overflows the float range")
     w, v = hermitian_eig(mh, min(JACOBI_TOL, tol))
     return [(float(w[k].real) if np.ndim(w[k]) == 0 else float(w[k]),
              v[:, k].copy()) for k in range(len(w))]

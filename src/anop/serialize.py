@@ -8,7 +8,8 @@ values round-trip bit-exactly. Numbers, the coefficients of entry rules
 among them, must be finite and at most 2**200 in magnitude, indices
 (offset, row, col, r, c) must be integers, and the space list must not be
 empty. A "dense" matrix is rectangular and, at a finite x finite position,
-has that position's shape; entry indices r, c are at least 0; a decay
+has that position's shape; entry indices r, c are at least 0, and no two
+entries of a "finite_rank" block share them; a decay
 {"C", "p"} needs C >= 0 and p > 0. A finite x finite block is written as
 "dense" with its full matrix, any other block off the l2 diagonal as
 "finite_rank". A file that breaks a rule raises SchemaError.
@@ -269,8 +270,10 @@ def _block_from_json(b, path):
             epath = f"{path}.entries[{ei}]"
             if not isinstance(e, dict) or not {"r", "c", "value"} <= e.keys():
                 raise SchemaError("entry needs r, c, value", epath)
-            entries[(_index(e, "r", epath), _index(e, "c", epath))] = scalar_from_json(
-                e["value"], epath + ".value")
+            rc = (_index(e, "r", epath), _index(e, "c", epath))
+            if rc in entries:
+                raise SchemaError(f"duplicate entry ({rc[0]},{rc[1]})", epath)
+            entries[rc] = scalar_from_json(e["value"], epath + ".value")
         return FiniteRankBlock(entries)
     if kind == "dense":
         return DenseBlock([[scalar_from_json(v, f"{path}.matrix[{r}][{c}]")

@@ -11,6 +11,15 @@ A real spectral value of a positive-operator summary (an eigenvalue, the
 norm, the essential minimum) is one Python number: a Fraction when the
 summary proved it exactly, a float otherwise, as `Scalar.re` returns it.
 Tolerance tests and printed figures read it through float().
+
+The finite corner of an exact structured summary is split once into the
+connected blocks of its off-diagonal pattern (`exactla.connected_blocks`).
+A 1x1 block's entry is an exact eigenvalue with unit eigenvector e_k; a
+larger block's eigenvectors come from exact elimination of that block alone,
+at candidates read off the corner's float eigenvalues. A corner of 1x1
+blocks only, the usual T*T and TT* corner of U (+) D, needs no elimination,
+and up to n = 64 (`JACOBI_MAX_N`) no float eigensolver either:
+`jacobi.diagonal_pairs` builds the pairs `sym_eigen` would return.
 """
 
 import contextvars
@@ -24,8 +33,8 @@ import numpy as np
 from .blocks import BandedBlock
 from .errors import (FiniteComponent, NotPositive, NotSelfAdjoint,
                      UncertifiedTail)
-from .exactla import kernel_basis, mat_sub_diag
-from .jacobi import sym_eigen
+from .exactla import _unit, connected_blocks, kernel_basis
+from .jacobi import diagonal_pairs, sym_eigen
 from .operators import (adjoint, corner_sizes, dense_window, multiply,
                         ops_equal_exact, truncate, window_layout)
 from .ratfn import RationalFn
@@ -311,6 +320,7 @@ class SpectralSummary:
         self._corner = None
         self._corner_sizes = None
         self._corner_pairs = None
+        self._blocks = None
         self._window = None
         self._exact_eigs = {}
         self._path = None
@@ -371,6 +381,38 @@ def positive_spectral_summary(p, tol=1e-10, trunc=256):
     return s
 
 
+def _corner_blocks(corner):
+    """The connected blocks of the off-diagonal pattern of a square corner,
+    as increasing index lists; every index lies in one. The pattern of
+    corner - lam I, and so its blocks, do not depend on lam."""
+    patterns = [[i] + [j for j, v in enumerate(row) if j != i and not v.is_zero()]
+                for i, row in enumerate(corner)]
+    return [idx for idx, _ in connected_blocks(patterns, len(corner))]
+
+
+def _corner_kernel(s, lam):
+    """N(corner - lam I) for an exact real lam, one block at a time: e_k for
+    a 1x1 block whose entry is lam, kernel_basis of a larger block's
+    submatrix minus lam. Merged by free column, the last nonzero coordinate of
+    a reduced-echelon kernel vector, this is kernel_basis of the whole."""
+    corner, n = s._corner, len(s._corner)
+    lam = Scalar.exact(lam)
+    found = []
+    for idx in s._blocks:
+        if len(idx) == 1:
+            if corner[idx[0]][idx[0]] == lam:
+                found.append((idx[0], _unit(n, idx[0])))
+            continue
+        sub = [[corner[i][j] - lam if i == j else corner[i][j] for j in idx]
+               for i in idx]
+        for u in kernel_basis(sub):
+            v = [ZERO] * n
+            for i, x in zip(idx, u):
+                v[i] = x
+            found.append((max(i for i, x in zip(idx, u) if not x.is_zero()), v))
+    return [v for _, v in sorted(found, key=lambda fv: fv[0])]
+
+
 def _structured_summary(s, classes, trunc):
     p, tol = s.op, s.tol
     s._path = "structured"
@@ -378,9 +420,16 @@ def _structured_summary(s, classes, trunc):
     s._corner_sizes = sizes
     exact_corner = p.is_exact_scalars()
     s._corner = dense_window(p, sizes)
-    corner_np = np.array([[complex(v) for v in row] for row in s._corner])
-    n = len(corner_np)
-    pairs = sym_eigen(corner_np, max(tol, 1e-12)) if n else []
+    n = len(s._corner)
+    pairs = None
+    if exact_corner:
+        s._blocks = _corner_blocks(s._corner)
+        diag = [row[k] for k, row in enumerate(s._corner)]
+        if len(s._blocks) == n and all(v.is_real() for v in diag):
+            pairs = diagonal_pairs([complex(v).real for v in diag])
+    if pairs is None:
+        corner_np = np.array([[complex(v) for v in row] for row in s._corner])
+        pairs = sym_eigen(corner_np, max(tol, 1e-12)) if n else []
     s._corner_pairs = pairs
     scale = max((abs(w) for w, _ in pairs), default=0.0) or 1.0
     # essential points
@@ -431,7 +480,7 @@ def _structured_summary(s, classes, trunc):
             # their (empty) exact kernels
             if floats.size and np.min(np.abs(floats - float(lam))) > 1e-7 * scale:
                 continue
-            ker = kernel_basis(mat_sub_diag(s._corner, Scalar.exact(lam)))
+            ker = _corner_kernel(s, lam)
             if ker:
                 exact_values[lam] = ker
     s._exact_eigs = exact_values
@@ -562,7 +611,7 @@ def summary_eigenspace(s, value):
     if s._corner is not None and p.is_exact_scalars() and exact_val is not None:
         ker = s._exact_eigs.get(exact_val)
         if ker is None:
-            ker = kernel_basis(mat_sub_diag(s._corner, Scalar.exact(exact_val)))
+            ker = _corner_kernel(s, exact_val)
         for kv in ker:
             corner_vecs.append(VectorExpr.from_flat(p.spaces, labels, kv))
     else:

@@ -24,6 +24,13 @@ def rand_scalar(rng, complex_ok=True):
     return Scalar.exact(re, im)
 
 
+def minus_diag(m, lam):
+    """m - lam I for a matrix of Scalars and an exact lam."""
+    lam = Scalar.exact(lam)
+    return [[v - lam if i == j else v for j, v in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
 def rand_spaces(rng):
     return rng.choice([
         (L2,),

@@ -190,6 +190,9 @@ def test_parse_error_exit_65(tmp_path):
         "negative_col": finite_rank("finite", 2, 0, 0, 0, -1),
         "negative_row_cross": finite_rank("finite", 2, 0, 1, -1, 0),
         "negative_row_l2_diagonal": finite_rank("l2", None, 0, 0, -1, 0),
+        # two entries at one (r, c) once kept the last without a word
+        "duplicate_entry": finite_rank("finite", 2, 0, 0, 1, 0).replace(
+            '"entries": [', '"entries": [{"r": 1, "c": 0, "value": [1, 0]}, '),
         # a number where the format names a list or an object
         "blocks_number": '{"blocks":5,"spaces":[{"kind":"l2"}]}',
         "diagonals_number": ex1.replace(diagonals, '"diagonals":5'),

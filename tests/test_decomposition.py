@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from anop import decomposition
 from anop.blocks import BandedBlock, DenseBlock, FiniteRankBlock
 from anop.diagonals import DiagonalSeq
 from anop.decomposition import (assemble_upper, block_upper_inverse,
@@ -19,6 +20,7 @@ from anop.decomposition import (assemble_upper, block_upper_inverse,
                                 reducing_check, u_plus_d_view)
 from anop.errors import (HypothesisFailed, NotInvertible, ShapeMismatch,
                          StarParanormalRefuted, StructureViolation)
+from anop.exactla import inverse
 from anop.gallery import (diag_operator, example1, flip_unitary,
                           nilpotent_pair, random_rational_unitary,
                           random_theorem_form, right_shift, theorem_form)
@@ -188,6 +190,25 @@ def test_block_inverse_2x2():
     assert inv.a_inv.blocks[(0, 0)].entries[(0, 0)] == Scalar.exact(Fraction(1, 2))
     assert inv.y_cols[0].get(0, 0) == Scalar.exact(Fraction(-1, 2))
     assert inv.c_inv[0][0] == Scalar.exact(1)
+
+
+def test_block_inverse_takes_the_tier_of_c_from_c(monkeypatch):
+    # a float (1,1) block beside an exact c keeps c's inverse exact
+    float_a = OperatorExpr((finite(1),), {(0, 0): DenseBlock([[2.0]])})
+    inv = block_upper_inverse(float_a, [VectorExpr(float_a.spaces)], [[Scalar.exact(3)]])
+    assert inv.c_inv == [[Scalar.exact(Fraction(1, 3))]] and inv.c_inv[0][0].is_exact
+    assert not inv.exact
+    # an exact (1,1) block beside a float c sends no float rows to exact elimination
+    rows = []
+
+    def exact_inverse_spy(a):
+        rows.extend(a)
+        return inverse(a)
+    monkeypatch.setattr(decomposition, "exact_inverse", exact_inverse_spy)
+    exact_a = OperatorExpr((finite(1),), {(0, 0): DenseBlock([[2]])})
+    inv = block_upper_inverse(exact_a, [VectorExpr(exact_a.spaces)], [[Scalar.inexact(4.0)]])
+    assert all(v.is_exact for row in rows for v in row)
+    assert inv.c_inv == [[Scalar.inexact(0.25)]] and not inv.exact
 
 
 def test_block_inverse_scaled_unitary_and_random_c():

@@ -11,14 +11,14 @@ from hypothesis import given, strategies as st
 
 from anop import decomposition, exactla, spectral, subspaces
 from anop.errors import AnopError
-from anop.exactla import (_rref, inverse, kernel_basis, mat_copy, mat_mul, mat_sub_diag,
-                          mat_vec, psd_decide, quad_form)
+from anop.exactla import (_rref, inverse, kernel_basis, mat_copy, mat_mul, mat_vec,
+                          psd_decide, quad_form)
 from anop.gallery import random_theorem_form
 from anop.operators import L2, identity_operator
 from anop.scalars import Scalar
 from anop.serialize import load
 from anop.vectors import VectorExpr
-from conftest import rand_scalar
+from conftest import minus_diag, rand_scalar
 
 P = 2 ** 61 - 1
 
@@ -108,10 +108,10 @@ def test_eigenvalue_kernel_is_exact():
     # kernel of m - lam I
     m = [[Scalar.exact(2), Scalar.exact(1)], [Scalar.exact(1), Scalar.exact(2)]]
     for lam in (3, 1):
-        ker = kernel_basis(mat_sub_diag(m, Scalar.exact(lam)))
+        ker = kernel_basis(minus_diag(m, lam))
         assert len(ker) == 1
         assert mat_vec(m, ker[0]) == [Scalar.exact(lam) * v for v in ker[0]]
-    assert kernel_basis(mat_sub_diag(m, Scalar.exact(2))) == []
+    assert kernel_basis(minus_diag(m, 2)) == []
 
 
 def test_kernel_of_no_rows_is_the_unit_basis():
@@ -284,7 +284,9 @@ def test_golden_traffic_matches_reference(monkeypatch):
     replayed against the Fraction reference: those of peel_decompose and
     certify_normal, and the [A | I] systems of block_upper_inverse with each
     operator as its (1,1) block, and with its T*T and TT* corners as the
-    finite block."""
+    finite block. A summary decides the kernel of corner - lam I one block at
+    a time; each such kernel is replayed against the reference on the whole
+    corner - lam I."""
     calls = []
 
     def kernel_spy(m, ncols=None):
@@ -294,8 +296,15 @@ def test_golden_traffic_matches_reference(monkeypatch):
     def inverse_spy(a):
         calls.append(("inverse", a, None, inverse(a)))
         return calls[-1][-1]
+
+    corner_kernel = spectral._corner_kernel
+
+    def corner_kernel_spy(s, lam):
+        calls.append(("kernel", minus_diag(s._corner, lam), None, corner_kernel(s, lam)))
+        return calls[-1][-1]
     monkeypatch.setattr(spectral, "kernel_basis", kernel_spy)
     monkeypatch.setattr(subspaces, "kernel_basis", kernel_spy)
+    monkeypatch.setattr(spectral, "_corner_kernel", corner_kernel_spy)
     monkeypatch.setattr(decomposition, "exact_inverse", inverse_spy)
 
     def upper_inverse(a, c):

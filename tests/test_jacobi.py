@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anop.errors import NotSelfAdjoint
-from anop.jacobi import sym_eigen
+from anop.jacobi import JACOBI_MAX_N, diagonal_pairs, sym_eigen
 
 
 def test_identity_multiplicity():
@@ -21,6 +21,21 @@ def test_example1_corner_values():
     corner = np.diag([4.0, 2.0, 1.0])
     pairs = sym_eigen(corner, 1e-10)
     assert [w for w, _ in pairs] == [4.0, 2.0, 1.0]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_diagonal_pairs_are_sym_eigen_of_the_diagonal():
+    # ties, zeros, negatives and close values, complex input as the summaries
+    # pass it; bit for bit, up to the Jacobi limit
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2, 7, JACOBI_MAX_N):
+        d = rng.choice([0.0, 2.0, -1.0, 1 / 3, 1 / 3 + 1e-13, 1e12], n)
+        want = sym_eigen(np.diag(d).astype(complex), 1e-12)
+        got = diagonal_pairs(d)
+        assert [(w, v.dtype, v.tobytes()) for w, v in got] == \
+            [(w, v.dtype, v.tobytes()) for w, v in want]
+    assert diagonal_pairs(np.ones(JACOBI_MAX_N + 1)) is None
+    assert diagonal_pairs([1.0, 1e308]) is None
 
 
 def test_residuals_and_orthogonality_up_to_64():
@@ -63,11 +78,9 @@ def test_rejects_non_self_adjoint():
         sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-10)
 
 
-def test_rejects_nan_entry():
-    # a NaN must not reach the eigenvalue-cluster loop of the complex path,
-    # which never advances on NaN; a daemon thread keeps a hang from
-    # stalling the suite
-    m = np.array([[1.0, complex(np.nan, 1.0)], [complex(np.nan, -1.0), 2.0]])
+def _refused_in_time(m):
+    """Whether sym_eigen raises NotSelfAdjoint on m within 10 s; a daemon
+    thread keeps a hang from stalling the suite."""
     raised = []
 
     def run():
@@ -80,4 +93,18 @@ def test_rejects_nan_entry():
     worker.start()
     worker.join(10)
     assert not worker.is_alive(), "sym_eigen still running after 10 s"
-    assert raised
+    return bool(raised)
+
+
+def test_rejects_nan_entry():
+    # a NaN must not reach the eigenvalue-cluster loop of the complex path,
+    # which never advances on NaN
+    assert _refused_in_time(
+        np.array([[1.0, complex(np.nan, 1.0)], [complex(np.nan, -1.0), 2.0]]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_rejects_an_overflowing_symmetrisation():
+    # finite entries past half the float range overflow in m + m*, whose
+    # NaN imaginary parts would reach the same loop
+    assert _refused_in_time(np.diag([9.5e307, 1.0, 1.0]))

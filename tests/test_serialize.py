@@ -150,7 +150,11 @@ def test_schema_errors_carry_paths():
                          ('{"row": 0, "col": 0, "kind": "finite_rank", "entries": '
                           '[{"r": 1.5, "c": 0, "value": 1}]}', "entries[0]"),
                          ('{"row": 0, "col": 0, "kind": "finite_rank", "entries": '
-                          '[{"r": 0, "c": true, "value": 1}]}', "entries[0]")]:
+                          '[{"r": 0, "c": true, "value": 1}]}', "entries[0]"),
+                         # a second entry at one (r, c) once replaced the first
+                         ('{"row": 0, "col": 0, "kind": "finite_rank", "entries": '
+                          '[{"r": 0, "c": 1, "value": 1}, {"r": 1, "c": 1, "value": 2}, '
+                          '{"r": 0, "c": 1, "value": 7}]}', "entries[2]")]:
         with pytest.raises(SchemaError) as exc:
             parse('{"spaces": [{"kind": "finite", "dim": 2}], "blocks": [%s]}' % block)
         assert where in str(exc.value)
