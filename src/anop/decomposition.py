@@ -36,7 +36,7 @@ from .predicates import (NUMERICAL, PROVEN, REFUTED, PredicateVerdict,
 from .scalars import ONE, Scalar, scalar_sqrt
 from .spectral import (_window_norm_bound, adjoint_modulus_summary, cogram,
                        gram, kernel_dims, modulus_summary,
-                       shares_derived, summary_eigenspace)
+                       shares_derived, star, summary_eigenspace)
 from .subspaces import Subspace, orthogonalize
 from .vectors import VectorExpr
 
@@ -395,7 +395,7 @@ def _peel(t, tol, max_peel, samples, seed, trunc):
     if h3 is not None:
         basis = h3.onb()
         images = [apply(t, b) for b in basis]
-        t_star = adjoint(t)
+        t_star = star(t)
         for tb in images:
             acol = h2.project(tb)
             a_cols.append(acol)
@@ -781,7 +781,7 @@ def compress_to_complement(t, kernel):
         new_spaces.append(L2)
     new_spaces = tuple(new_spaces)
     blocks = {}
-    t_star = adjoint(t)
+    t_star = star(t)
     # extras x extras
     if extras:
         mat = [[apply(t, extras[j]).inner(extras[i])

@@ -20,15 +20,6 @@ writes its answer into them.
   Every entry stays, up to sign, a minor of the scaled matrix, so each
   division by the previous pivot is exact in Z[i] (Sylvester's identity).
   The reduced row echelon form is the result divided by the last pivot.
-- Blocks. The nonzero pattern of the first ncols columns (those where
-  pivots are sought) splits into connected blocks of rows and columns; the
-  corners of T*T and TT* split into many small ones. Each block gets its own
-  elimination, on its rows, its columns and the later columns ([A | I] for
-  an inverse) that are nonzero in its rows. No row operation ever joins two
-  blocks, so each block's pivots and reduced rows are those of the whole
-  matrix, padded with zeros; the pivots of the whole are the sorted union of
-  the blocks' pivots, and each row is divided by its own block's last pivot.
-  `spectral` splits its summary corners with the same `connected_blocks`.
 
 The reduced row echelon form of a matrix is unique, so the basis and the
 inverse read off it are the same exact Scalars the reference `_rref` gives.
@@ -152,34 +143,6 @@ def _fraction_free_gauss_jordan(rows, ncols):
     return piv_cols, (qa, qb)
 
 
-def connected_blocks(patterns, ncols):
-    """The connected blocks of a nonzero pattern over ncols columns, given as
-    each row's list of nonzero columns: (row indices, column indices) pairs,
-    each list increasing. A row with no nonzero, and a column with none, lies
-    in no block."""
-    parent = list(range(ncols))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    touched = [False] * ncols
-    for cols in patterns:
-        for c in cols:
-            touched[c] = True
-            parent[find(c)] = find(cols[0])
-    blocks = {}
-    for i, cols in enumerate(patterns):
-        if cols:
-            blocks.setdefault(find(cols[0]), ([], []))[0].append(i)
-    for c in range(ncols):
-        if touched[c]:
-            blocks[find(c)][1].append(c)
-    return list(blocks.values())
-
-
 def _row_reduce(m, ncols):
     """Reduced row echelon form R of m, pivots sought in its first ncols
     columns, as (pivot columns, entry) with entry(r, c) the Scalar R[r][c]."""
@@ -188,27 +151,13 @@ def _row_reduce(m, ncols):
         piv = _rref(work, ncols)
         return piv, lambda r, c: work[r][c]
     rows = _gaussian_rows(m)
-    owner = {}  # pivot column -> (block's rows, column positions, last pivot, row)
-    patterns = [[c for c in range(ncols) if row[c] != (0, 0)] for row in rows]
-    for brows, bcols in connected_blocks(patterns, ncols):
-        nb = len(bcols)
-        bcols += [c for c in range(ncols, len(m[0]))
-                  if any(rows[i][c] != (0, 0) for i in brows)]
-        sub = [[rows[i][c] for c in bcols] for i in brows]
-        bpiv, q = _fraction_free_gauss_jordan(sub, nb)
-        pos = {c: k for k, c in enumerate(bcols)}
-        for r, k in enumerate(bpiv):
-            owner[bcols[k]] = (sub, pos, q, r)
-    piv = sorted(owner)
+    piv, (qa, qb) = _fraction_free_gauss_jordan(rows, ncols)
+    nq = qa * qa + qb * qb
 
     def entry(r, c):
-        sub, pos, (qa, qb), br = owner[piv[r]]
-        k = pos.get(c)
-        if k is None:
-            return ZERO
-        # (a + i b)/(qa + i qb) = (a + i b)(qa - i qb)/(qa^2 + qb^2), in lowest terms
-        a, b = sub[br][k]
-        return _reduced(a * qa + b * qb, b * qa - a * qb, qa * qa + qb * qb)
+        # (a + i b)/(qa + i qb) = (a + i b)(qa - i qb)/nq, in lowest terms
+        a, b = rows[r][c]
+        return _reduced(a * qa + b * qb, b * qa - a * qb, nq)
     return piv, entry
 
 

@@ -28,11 +28,11 @@ import numpy as np
 
 from .errors import NotNormAttaining, UncertifiedTail
 from .exactla import _unit, psd_decide, quad_form
-from .operators import (adjoint, apply, apply_float, corner_sizes, dense_window,
-                        multiply, op_is_zero, truncate, window_layout)
+from .operators import (apply, apply_float, corner_sizes, dense_window, multiply,
+                        op_is_zero, truncate, window_layout)
 from .scalars import Scalar
 from .spectral import (adjoint_modulus_summary, cogram, count_spectrum_in, gram,
-                       memoised, modulus_summary, shares_derived,
+                       memoised, modulus_summary, shares_derived, star,
                        summary_eigenspace, symbol)
 from .subspaces import Subspace
 from .vectors import VectorExpr
@@ -91,9 +91,8 @@ def _form_refutation(name, d, wit, rule, **kw):
 
 
 def _tail_analysis(d, sizes):
-    """Structural status of an exact-shape-or-ruled difference operator
-    beyond its corner: ('zero'|'psd', None) or ('neg', basis witness) or
-    ('numeric', None)."""
+    """Structural status of d = T*T - TT* beyond its corner: ('zero'|'psd',
+    None) or ('neg', basis witness) or ('numeric', None)."""
     status = "zero"
     for i in d.l2_components():
         blk = d.blocks.get((i, i))
@@ -108,23 +107,16 @@ def _tail_analysis(d, sizes):
                 start = max(len(seq.prefix), sizes[i])
                 runs = seq.rule.runs_from(start)
                 if len(runs) == 1 and runs[0][1] >= 0:
-                    status = "psd" if status == "zero" else status
+                    status = "psd"
                     continue
                 k = next((a for a, sgn in runs if sgn < 0), None)
                 if k is not None:
                     return "neg", (i, k)
                 return "numeric", None
-            if seq.decay is not None:
-                return "numeric", None
-            if seq.limit.is_zero():
-                continue
-            if not seq.limit.is_real():
-                return "numeric", None
-            if seq.limit.is_exact and seq.limit.re > 0:
-                status = "psd"
-            elif seq.limit.is_exact and seq.limit.re < 0:
-                return "neg", (i, sizes[i])
-            else:
+            # on exact data every rule-free limit of T*T - TT* cancels: both
+            # share each l2 component's symbol, and the other blocks have
+            # finite rank; what is left is float data
+            if seq.decay is not None or not seq.limit.is_zero():
                 return "numeric", None
     return status, None
 
@@ -151,7 +143,7 @@ def _corner_witness_search(d, corner, labels):
 def _norms2(t, x):
     """(||x||^2, ||Tx||^2, ||T*x||^2, ||T^2 x||^2) exactly."""
     tx = apply(t, x)
-    tsx = apply(adjoint(t), x)
+    tsx = apply(star(t), x)
     ttx = apply(t, tx)
     return x.norm2(), tx.norm2(), tsx.norm2(), ttx.norm2()
 
@@ -390,7 +382,7 @@ def _refute_by_sampling(t, lhs_kind, samples, seed):
     candidates of `iter_sample_vectors`. Returns (witness, checked_count) or
     (None, checked_count)."""
     exact_ok = t.is_exact_scalars()
-    t_adj = adjoint(t)
+    t_adj = star(t)
     regions = _sample_region(t)
     clears = _window_screen(t, lhs_kind, regions)
     checked = 0

@@ -2,10 +2,11 @@
 Toeplitz symbols, essential spectra, positive-operator summaries with
 eigenspaces, modulus summaries, diagonalization, and kernel dimensions.
 
-T*T and TT* are built here only (`gram`, `cogram`). A call decorated with
-`shares_derived` opens a memo in which they, the modulus summaries (per tol
-and trunc) and other `memoised` objects are built once per operator; nested
-calls join the outermost memo, which is dropped when that call returns.
+T*T and TT* are built here only (`gram`, `cogram`), from the T* of `star`. A
+call decorated with `shares_derived` opens a memo in which T*, T*T, TT*, the
+modulus summaries (per tol and trunc) and other `memoised` objects are built
+once per operator; nested calls join the outermost memo, which is dropped
+when that call returns.
 
 A real spectral value of a positive-operator summary (an eigenvalue, the
 norm, the essential minimum) is one Python number: a Fraction when the
@@ -13,7 +14,8 @@ summary proved it exactly, a float otherwise, as `Scalar.re` returns it.
 Tolerance tests and printed figures read it through float().
 
 The finite corner of an exact structured summary is split once into the
-connected blocks of its off-diagonal pattern (`exactla.connected_blocks`).
+connected blocks of its off-diagonal pattern (`_corner_blocks`), the one
+place that splits a matrix into blocks; `exactla` eliminates whole matrices.
 A 1x1 block's entry is an exact eigenvalue with unit eigenvector e_k; a
 larger block's eigenvectors come from exact elimination of that block alone,
 at candidates read off the corner's float eigenvalues. A corner of 1x1
@@ -33,7 +35,7 @@ import numpy as np
 from .blocks import BandedBlock
 from .errors import (FiniteComponent, NotPositive, NotSelfAdjoint,
                      UncertifiedTail)
-from .exactla import _unit, connected_blocks, kernel_basis
+from .exactla import _unit, kernel_basis
 from .jacobi import diagonal_pairs, sym_eigen
 from .operators import (adjoint, corner_sizes, dense_window, multiply,
                         ops_equal_exact, truncate, window_layout)
@@ -255,14 +257,19 @@ def memoised(key, t, build):
     return memo[key, id(t)][1]
 
 
+def star(t):
+    """T*."""
+    return memoised("adjoint", t, lambda: adjoint(t))
+
+
 def gram(t):
     """T*T."""
-    return memoised("gram", t, lambda: multiply(adjoint(t), t))
+    return memoised("gram", t, lambda: multiply(star(t), t))
 
 
 def cogram(t):
     """TT*."""
-    return memoised("cogram", t, lambda: multiply(t, adjoint(t)))
+    return memoised("cogram", t, lambda: multiply(t, star(t)))
 
 
 # -- positive summaries -------------------------------------------------------------------
@@ -385,9 +392,21 @@ def _corner_blocks(corner):
     """The connected blocks of the off-diagonal pattern of a square corner,
     as increasing index lists; every index lies in one. The pattern of
     corner - lam I, and so its blocks, do not depend on lam."""
-    patterns = [[i] + [j for j, v in enumerate(row) if j != i and not v.is_zero()]
-                for i, row in enumerate(corner)]
-    return [idx for idx, _ in connected_blocks(patterns, len(corner))]
+    parent = list(range(len(corner)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+    for i, row in enumerate(corner):
+        for j, v in enumerate(row):
+            if j != i and not v.is_zero():
+                parent[find(j)] = find(i)
+    blocks = {}
+    for i in range(len(corner)):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
 
 
 def _corner_kernel(s, lam):

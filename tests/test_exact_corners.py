@@ -1,6 +1,6 @@
 """Exact summary corners decided one connected block at a time, against a
 copy of the whole-corner summary: one sym_eigen of the whole corner, and one
-kernel_basis of the whole corner - lam I for each candidate lam."""
+Fraction-reference kernel of the whole corner - lam I for each candidate lam."""
 
 import random
 import threading
@@ -13,14 +13,13 @@ from hypothesis import given, settings, strategies as st
 from anop import spectral
 from anop.blocks import FiniteRankBlock
 from anop.errors import NotSelfAdjoint
-from anop.exactla import kernel_basis
 from anop.gallery import random_rational_unitary
 from anop.operators import (L2, OperatorExpr, corner_sizes, dense_window, direct_sum,
                             finite, identity_operator)
 from anop.scalars import ZERO, Scalar
 from anop.spectral import (COMP_CONST, DiscreteEig, positive_spectral_summary,
                            summary_eigenspace)
-from conftest import minus_diag
+from conftest import minus_diag, reference_kernel
 
 
 def _whole_corner_summary(s, classes, trunc):
@@ -62,7 +61,7 @@ def _whole_corner_summary(s, classes, trunc):
         for lam in sorted(cands):
             if floats.size and np.min(np.abs(floats - float(lam))) > 1e-7 * scale:
                 continue
-            ker = kernel_basis(minus_diag(s._corner, lam))
+            ker = reference_kernel(minus_diag(s._corner, lam))
             if ker:
                 exact_values[lam] = ker
     s._exact_eigs = exact_values

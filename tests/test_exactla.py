@@ -18,7 +18,7 @@ from anop.operators import L2, identity_operator
 from anop.scalars import Scalar
 from anop.serialize import load
 from anop.vectors import VectorExpr
-from conftest import minus_diag, rand_scalar
+from conftest import minus_diag, rand_scalar, reference_kernel
 
 P = 2 ** 61 - 1
 
@@ -127,19 +127,6 @@ def _reference_rref(m, ncols):
     return _rref(work, ncols), work
 
 
-def _reference_kernel(m, ncols=None):
-    ncols = len(m[0]) if ncols is None else ncols
-    piv, work = _reference_rref(m, ncols)
-    basis = []
-    for fc in range(ncols):
-        if fc not in piv:
-            v = [Scalar.exact(int(k == fc)) for k in range(ncols)]
-            for r, pc in enumerate(piv):
-                v[pc] = -work[r][fc]
-            basis.append(v)
-    return basis
-
-
 def _reference_inverse(a):
     n = len(a)
     piv, work = _reference_rref(
@@ -156,7 +143,7 @@ def _identical(x):
 
 
 def _assert_matches_reference(m):
-    assert _identical(kernel_basis(m)) == _identical(_reference_kernel(m))
+    assert _identical(kernel_basis(m)) == _identical(reference_kernel(m))
     ncols = len(m[0])
     assert ncols - len(kernel_basis(m)) == len(_reference_rref(m, ncols)[0])
     if len(m) == len(m[0]):
@@ -229,7 +216,7 @@ def test_float_matrices_keep_the_scalar_path(m, mixed):
     _assert_matches_reference(m)
 
 
-# -- one elimination per connected block ---------------------------------------------------
+# -- whole-matrix elimination of block-structured matrices ----------------------------
 
 @st.composite
 def _scattered_blocks(draw, square=False):
@@ -263,13 +250,12 @@ def test_block_split_matches_reference(m, data):
         piv, _ = _reference_rref(m, ncols)
         ker = kernel_basis(m, ncols)
         assert ncols - len(ker) == len(piv)
-        assert _identical(ker) == _identical(_reference_kernel(m, ncols))
+        assert _identical(ker) == _identical(reference_kernel(m, ncols))
 
 
 @given(_scattered_blocks(square=True))
 def test_block_split_inverts_like_reference(m):
-    # inverse eliminates [A | I]: each block's rows take the identity columns
-    # of their own rows along
+    # inverse eliminates [A | I], whose identity columns join every block
     assert _identical(inverse(m)) == _identical(_reference_inverse(m))
 
 
@@ -328,7 +314,7 @@ def test_golden_traffic_matches_reference(monkeypatch):
         if not m:
             continue
         expected = (_reference_inverse(m) if kind == "inverse"
-                    else _reference_kernel(m, ncols))
+                    else reference_kernel(m, ncols))
         assert _identical(result) == _identical(expected)
 
 
@@ -341,25 +327,6 @@ def _eliminated_row_counts(monkeypatch):
         return core(rows, ncols)
     monkeypatch.setattr(exactla, "_fraction_free_gauss_jordan", spy)
     return counts
-
-
-def test_elimination_never_spans_two_blocks(monkeypatch):
-    counts = _eliminated_row_counts(monkeypatch)
-    rng = random.Random(5)
-    m = [[Scalar.exact(0)] * 12 for _ in range(12)]
-    k = 0
-    for size in (1, 2, 2, 1, 2, 1, 2, 1):
-        for i in range(k, k + size):
-            for j in range(k, k + size):
-                m[i][j] = rand_scalar(rng)
-        k += size
-    rows, cols = list(range(12)), list(range(12))
-    rng.shuffle(rows)
-    rng.shuffle(cols)
-    m = [[m[i][j] for j in cols] for i in rows]
-    kernel_basis(m)
-    inverse(m)
-    assert counts and max(counts) <= 2
 
 
 def _largest_connected_block(corner):

@@ -8,21 +8,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from anop.blocks import BandedBlock, DenseBlock, FiniteRankBlock
 from anop.diagonals import DiagonalSeq
 from anop.errors import NSmallerThanBand, ShapeMismatch
 from anop.exactla import mat_mul
-from anop.gallery import example1, example2, random_rational_unitary, right_shift
+from anop.gallery import (example1, example2, jacobi_operator, random_rational_unitary,
+                          right_shift)
 from anop.operators import (L2, OperatorExpr, adjoint, apply, combine,
                             corner_sizes, dense_window, finite, identity_operator,
                             merge_sizes, multiply, ops_equal_exact, truncate,
-                            window_sizes, zero_operator)
+                            window_layout, window_sizes, zero_operator)
 from anop.ratfn import RationalFn
 from anop.scalars import Scalar
 from anop.vectors import VectorExpr
-from conftest import random_exact_operator
+from conftest import banded_operators, random_exact_operator
 
 
 def dense_oracle(op, n):
@@ -390,3 +391,102 @@ def test_dense_blocks_are_read_only_where_operators_are_built():
     for path in sorted(Path(anop.__file__).parent.glob("*.py")):
         found += [f"{path.stem}.{site}" for site in sites(path.read_text())]
     assert found == ["operators.OperatorExpr.__init__"]
+
+
+# -- multiply and apply against Fraction windows -------------------------------------
+
+def _fraction_window(op, sizes):
+    """The window of op as {row label: {column label: (re, im)}}, labels
+    (component, index) and nonzero Fraction pairs, read off each block's
+    prefixes, rules, limits and entries alone."""
+    out = {}
+    for (i, j), blk in op.blocks.items():
+        if isinstance(blk, BandedBlock):
+            cells = []
+            for off, seq in blk.diagonals.items():
+                for c in range(max(0, -off), min(sizes[j], sizes[i] - off)):
+                    k = min(c + off, c)
+                    cells.append((c + off, c, seq.prefix[k] if k < len(seq.prefix) else
+                                  seq.rule.eval(k) if seq.rule is not None else seq.limit))
+        else:
+            cells = [(r, c, v) for (r, c), v in blk.entries.items()
+                     if r < sizes[i] and c < sizes[j]]
+        for r, c, v in cells:
+            v = Scalar.of(v)
+            if not v.is_zero():
+                out.setdefault((i, r), {})[j, c] = (Fraction(v.re), Fraction(v.im))
+    return out
+
+
+def _fraction_adjoint(w):
+    out = {}
+    for row, cells in w.items():
+        for col, (re, im) in cells.items():
+            out.setdefault(col, {})[row] = (re, -im)
+    return out
+
+
+def _fraction_product(a, b):
+    out = {}
+    for row, cells in a.items():
+        acc = {}
+        for mid, (xr, xi) in cells.items():
+            for col, (yr, yi) in b.get(mid, {}).items():
+                re, im = acc.get(col, (0, 0))
+                acc[col] = (re + xr * yr - xi * yi, im + xr * yi + xi * yr)
+        acc = {col: v for col, v in acc.items() if v != (0, 0)}
+        if acc:
+            out[row] = acc
+    return out
+
+
+def _within(w, sizes):
+    out = {row: {col: v for col, v in cells.items() if col[1] < sizes[col[0]]}
+           for row, cells in w.items() if row[1] < sizes[row[0]]}
+    return {row: cells for row, cells in out.items() if cells}
+
+
+def _as_fraction_map(mat, labels):
+    return {labels[r]: {labels[c]: (Fraction(v.re), Fraction(v.im))
+                        for c, v in enumerate(row) if not v.is_zero()}
+            for r, row in enumerate(mat) if any(not v.is_zero() for v in row)}
+
+
+def _oracle_sizes(t, wanted):
+    """Window sizes that hold every product term of the wanted window: each
+    l2 component widened by twice t's largest bandwidth."""
+    w = max((blk.bandwidth for blk in t.blocks.values() if isinstance(blk, BandedBlock)),
+            default=0)
+    return [max(n, c) + (2 * w if sp.kind == "l2" else 0)
+            for n, c, sp in zip(wanted, corner_sizes(t), t.spaces)]
+
+
+# T*T of a ruled Jacobi operator: the main diagonal adds the exact product of
+# the off-diagonals inside an asymptotic diagonal, and each off-diagonal
+# multiplies the rule by the off-diagonal's constant as a constant rule
+@example(jacobi_operator(diag=DiagonalSeq(rule=RationalFn([1, 2], [3, 1]))))
+@given(banded_operators())
+def test_multiply_and_apply_match_fraction_windows(t):
+    for left, right in ((t, t), (adjoint(t), t), (t, adjoint(t))):
+        prod = multiply(left, right)
+        sizes = [n + 2 if sp.kind == "l2" else n
+                 for n, sp in zip(corner_sizes(prod), t.spaces)]
+        window = _fraction_window(t, _oracle_sizes(t, sizes))
+        factors = [window if f is t else _fraction_adjoint(window) for f in (left, right)]
+        _, labels = window_layout(t.spaces, sizes)
+        assert (_as_fraction_map(dense_window(prod, sizes), labels)
+                == _within(_fraction_product(*factors), sizes))
+    # each unit vector of the corner, then their sum with weights (k + 1) + i:
+    # the images are the window's columns and their weighted sum
+    sizes = [n + 2 if sp.kind == "l2" else n for n, sp in zip(corner_sizes(t), t.spaces)]
+    _, labels = window_layout(t.spaces, sizes)
+    window = _fraction_window(t, _oracle_sizes(t, sizes))
+    units = [{label: (Fraction(1), Fraction(0))} for label in labels]
+    for x in units + [{label: (Fraction(k + 1), Fraction(1)) for k, label in enumerate(labels)}]:
+        data = [{} for _ in t.spaces]
+        for (ci, k), v in x.items():
+            data[ci][k] = Scalar.exact(*v)
+        vec = VectorExpr(t.spaces, data)
+        image = _fraction_product(window, {label: {(0, 0): v} for label, v in x.items()})
+        assert ({label: (Fraction(v.re), Fraction(v.im)) for label, v in apply(t, vec).items()}
+                == {row: cells[0, 0] for row, cells in image.items()})

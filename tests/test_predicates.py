@@ -13,14 +13,15 @@ from anop.gallery import (diag_operator, example1, example2, flip_unitary,
                           jacobi_operator, nilpotent_pair, right_shift)
 from anop.operators import (L2, OperatorExpr, adjoint, apply, direct_sum, finite,
                             identity_operator, multiply, truncate)
-from anop.predicates import (_real_diagonal, _section, _section_min_eigs, an_check,
-                             compute_M_and_Mstar, hyponormal_check, is_normal,
+from anop.predicates import (_commutator, _real_diagonal, _section, _section_min_eigs,
+                             an_check, compute_M_and_Mstar, hyponormal_check, is_normal,
                              norm_attaining_check, paranormal_refute,
                              revalidate_witness, star_paranormal_check)
 from anop.ratfn import RationalFn
 from anop.scalars import Scalar
 from anop.spectral import cogram, gram, modulus_summary
 from anop.vectors import VectorExpr
+from conftest import banded_operators, random_exact_operator
 
 
 def test_is_normal_identity_and_direct_sum():
@@ -90,6 +91,19 @@ def test_hyponormal_example2_adjoint_certified_tail():
     v = hyponormal_check(adjoint(example2()))
     assert v.status == "Proven"
     assert v.evidence["tail"] == "psd"
+
+
+@given(st.one_of(banded_operators(), st.integers(0, 10 ** 6).map(random_exact_operator)))
+def test_commutator_limits_cancel_on_every_rule_free_diagonal(t):
+    # T*T and TT* share each l2 component's symbol and every other block has
+    # finite rank, so on exact data no rule-free diagonal of T*T - TT* on the
+    # l2 diagonal ends in a nonzero limit: `_tail_analysis` never reads one
+    d = _commutator(t)
+    assert d.is_exact_scalars()
+    for i in d.l2_components():
+        blk = d.blocks.get((i, i))
+        for seq in (blk.diagonals.values() if blk is not None else ()):
+            assert seq.rule is not None or seq.limit.is_zero()
 
 
 def test_paranormal_nilpotent_refuted():

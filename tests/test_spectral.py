@@ -127,6 +127,36 @@ def test_essential_spectrum_requires_self_adjoint():
         essential_spectrum(right_shift(2))
 
 
+def _float_jacobi(skew):
+    """A float Jacobi operator, main diagonal (3, 2, 2, ...) and off-diagonals
+    1/2, except the first entry below, 1/2 + skew: it differs from its adjoint
+    by skew, in its corner."""
+    half = Scalar.inexact(0.5)
+    return OperatorExpr((L2,), {(0, 0): BandedBlock({
+        0: DiagonalSeq([Scalar.inexact(3.0)], Scalar.inexact(2.0)),
+        1: DiagonalSeq(limit=half),
+        -1: DiagonalSeq([Scalar.inexact(0.5 + skew)], half)})})
+
+
+def test_float_operator_self_adjoint_within_tol():
+    # the float branch bounds ||T - T*|| by a window norm plus the tail limits
+    t = _float_jacobi(1e-13)
+    assert not t.is_exact_scalars()
+    s = positive_spectral_summary(t)
+    # one eigenvalue above the band [1, 3]: 2 + (3 - 2) + (1/2)^2 / (3 - 2)
+    assert s.tier == "numerical" and len(s.discrete) == 1
+    assert abs(s.discrete[0].value - 3.25) < 1e-9
+    ((kind, lo, hi),) = essential_spectrum(t)
+    assert kind == "interval" and abs(lo - 1.0) < 1e-9 and abs(hi - 3.0) < 1e-9
+
+
+def test_float_operator_beyond_tol_is_not_self_adjoint():
+    t = _float_jacobi(1e-6)
+    for call in (positive_spectral_summary, essential_spectrum):
+        with pytest.raises(NotSelfAdjoint, match="beyond tol"):
+            call(t)
+
+
 def test_positive_summary_prefix_diagonal():
     p = diag_operator([5, 3], limit=2)
     s = positive_spectral_summary(p)
