@@ -62,7 +62,7 @@ class BandedBlock:
                 pre.append(base.entry(len(pre)))
             for k, v in items:
                 pre[k] = pre[k] + v
-            diags[j] = DiagonalSeq(pre, base.limit, base.rule, base.decay)
+            diags[j] = base.with_prefix(pre)
         return BandedBlock(diags)
 
     def structurally_equal(self, other):

@@ -30,6 +30,7 @@ from . import __version__
 from .errors import (AnopError, BadParams, NotAN, NotSelfAdjoint, SchemaError,
                      StarParanormalRefuted, StructureViolation)
 from .serialize import load, parse, serialize
+from .spectral import shares_derived
 
 EXIT_PROVEN = 0
 EXIT_REFUTED = 1
@@ -272,10 +273,17 @@ def _parser():
     return parser
 
 
+@shares_derived
+def _run(args):
+    """The command, in one memo: T*, T*T, TT* and their summaries are built
+    once per command."""
+    return args.func(args)
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = _run(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except SystemExit as exc:

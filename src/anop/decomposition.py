@@ -32,7 +32,7 @@ from .operators import (L2, OperatorExpr, adjoint, apply, corner_sizes,
                         ops_equal_exact, truncate, window_layout, window_sizes)
 from .predicates import (NUMERICAL, PROVEN, REFUTED, PredicateVerdict,
                          _commutator, _jsonable, an_check, compute_M_and_Mstar,
-                         is_normal, star_paranormal_check)
+                         is_normal, star_paranormal_check, symbol_an_rule)
 from .scalars import ONE, Scalar, scalar_sqrt
 from .spectral import (_window_norm_bound, adjoint_modulus_summary, cogram,
                        gram, kernel_dims, modulus_summary,
@@ -105,7 +105,7 @@ def invariance_check(t, m, tol=1e-10):
 def reducing_check(t, m, tol=1e-10):
     """Invariance under both t and t*."""
     fwd = invariance_check(t, m, tol)
-    bwd = invariance_check(adjoint(t), m, tol)
+    bwd = invariance_check(star(t), m, tol)
     ok = {fwd.status, bwd.status} <= {PROVEN, NUMERICAL}
     status = PROVEN if fwd.status == bwd.status == PROVEN else \
         (NUMERICAL if ok else REFUTED)
@@ -293,7 +293,11 @@ def _restriction_matrix(t, space, lam):
 
 def _require_hypotheses(t, tol, samples, seed, trunc):
     """Raise NotAN or StarParanormalRefuted when a check refutes the
-    hypotheses of the peeled representation."""
+    hypotheses of the peeled representation; the symbols of T*T go first,
+    so an interval in its essential spectrum refuses T before any window."""
+    rule = symbol_an_rule(t, tol)
+    if rule is not None:
+        raise NotAN(rule)
     av = an_check(t, tol, trunc)
     if av.status == REFUTED:
         raise NotAN(str(av.evidence.get("rule")))

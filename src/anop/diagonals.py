@@ -5,6 +5,11 @@ that is either exactly the limit (Exact tier), produced by a rational
 entry rule (Asymptotic tier with exact entries and a derived decay
 certificate), or unknown within a declared decay envelope (Asymptotic
 tier without entries; only limit-based analysis is possible).
+
+A rule's decay certificate is derived when `decay` is first read, not when
+the sequence is built: products, conjugates and shifts build many ruled
+diagonals whose certificate nothing reads. The file reader reads it at once,
+so a rule from a file is checked where the file is read.
 """
 
 from fractions import Fraction
@@ -17,8 +22,17 @@ EXACT = "exact"
 ASYMPTOTIC = "asymptotic"
 
 
+def _certificate(c, p):
+    c, p = float(c), float(p)
+    if c < 0:
+        raise UncertifiedTail("decay certificate needs C >= 0")
+    if p <= 0:
+        raise UncertifiedTail("decay certificate needs p > 0")
+    return c, p
+
+
 class DiagonalSeq:
-    __slots__ = ("prefix", "limit", "rule", "decay")
+    __slots__ = ("prefix", "limit", "rule", "_decay")
 
     def __init__(self, prefix=(), limit=ZERO, rule=None, decay=None):
         prefix = tuple(Scalar.of(v) for v in prefix)
@@ -26,28 +40,29 @@ class DiagonalSeq:
             if len(prefix) < rule.valid_from:
                 raise UncertifiedTail(
                     "entry rule is only valid beyond the supplied prefix")
-            lim = rule.limit()
-            limit = Scalar.exact(lim)
+            limit = Scalar.exact(rule.limit())
             # the decay derived from the rule is proven; a declared one is not
-            c, p = rule.decay()
-            decay = (float(c), float(p))
+            decay = None
             if rule.is_const():
                 # constant rules collapse to the Exact tier
-                rule, decay = None, None
+                rule = None
         else:
             limit = Scalar.of(limit)
-        if decay is not None:
-            c, p = float(decay[0]), float(decay[1])
-            if c < 0:
-                raise UncertifiedTail("decay certificate needs C >= 0")
-            if p <= 0:
-                raise UncertifiedTail("decay certificate needs p > 0")
-            decay = (c, p)
+            if decay is not None:
+                decay = _certificate(*decay)
         self.prefix = prefix
         self.limit = limit
         self.rule = rule
-        self.decay = decay
+        self._decay = decay
         self._canonicalize()
+
+    @property
+    def decay(self):
+        """(C, p) with |entry(i) - limit| <= C / (i+1)^p beyond the prefix,
+        or None for an exact tail; a rule's is derived on first read."""
+        if self._decay is None and self.rule is not None:
+            self._decay = _certificate(*self.rule.decay())
+        return self._decay
 
     def _canonicalize(self):
         pre = list(self.prefix)
@@ -67,7 +82,7 @@ class DiagonalSeq:
     def _tail_entry(self, i):
         if self.rule is not None:
             return Scalar.exact(self.rule.eval(i))
-        if self.decay is None:
+        if self._decay is None:
             return self.limit
         return None  # declared envelope only
 
@@ -90,18 +105,18 @@ class DiagonalSeq:
         v = self._tail_entry(i)
         if v is not None:
             return v, 0.0
-        return self.limit, self.decay[0] / (i + 1) ** self.decay[1]
+        return self.limit, self._decay[0] / (i + 1) ** self._decay[1]
 
     @property
     def tier(self):
-        return EXACT if (self.rule is None and self.decay is None) else ASYMPTOTIC
+        return EXACT if (self.rule is None and self._decay is None) else ASYMPTOTIC
 
     def has_entries(self):
-        return self.rule is not None or self.decay is None
+        return self.rule is not None or self._decay is None
 
     def is_zero(self):
         return (not self.prefix and self.limit.is_zero() and self.rule is None
-                and self.decay is None)
+                and self._decay is None)
 
     def is_exact_scalars(self):
         return all(v.is_exact for v in self.prefix) and self.limit.is_exact
@@ -128,16 +143,21 @@ class DiagonalSeq:
     def conjugated(self):
         pre = [v.conj() for v in self.prefix]
         # rules are real valued, conjugation leaves them alone
-        return DiagonalSeq(pre, self.limit.conj(), self.rule, self.decay)
+        return DiagonalSeq(pre, self.limit.conj(), self.rule, self._decay)
 
     def with_prefix_len(self, n):
         """Entries 0..n-1 made explicit (requires entries to exist)."""
         if n <= len(self.prefix):
             return self
-        pre = [self.entry(i) for i in range(n)]
-        return DiagonalSeq(pre, self.limit, self.rule, self.decay)
+        return self.with_prefix([self.entry(i) for i in range(n)])
+
+    def with_prefix(self, prefix):
+        """This tail behind another prefix."""
+        return DiagonalSeq(prefix, self.limit, self.rule, self._decay)
 
     def structurally_equal(self, other):
+        """Same prefix, limit and tail; two ruled tails compare by their
+        rules, which fix every entry, without deriving a certificate."""
         if len(self.prefix) != len(other.prefix):
             return False
         if any(a != b for a, b in zip(self.prefix, other.prefix)):
@@ -146,8 +166,8 @@ class DiagonalSeq:
             return False
         if (self.rule is None) != (other.rule is None):
             return False
-        if self.rule is not None and self.rule != other.rule:
-            return False
+        if self.rule is not None:
+            return self.rule == other.rule
         return self.decay == other.decay
 
     def __repr__(self):

@@ -14,7 +14,7 @@ from .blocks import BandedBlock, DenseBlock, FiniteRankBlock
 from .diagonals import DiagonalSeq
 from .errors import BadParams
 from .exactla import mat_identity, mat_mul
-from .operators import (L2, OperatorExpr, adjoint, apply, corner_sizes,
+from .operators import (L2, OperatorExpr, apply, corner_sizes,
                         dense_window, direct_sum, finite, ops_equal_exact,
                         window_layout)
 from .predicates import (an_check, compute_M_and_Mstar, hyponormal_check,
@@ -22,7 +22,7 @@ from .predicates import (an_check, compute_M_and_Mstar, hyponormal_check,
 from .ratfn import RationalFn
 from .scalars import Scalar
 from .spectral import (cogram, essential_spectrum, gram, kernel_dims,
-                       modulus_summary, shares_derived)
+                       modulus_summary, shares_derived, star)
 from .vectors import VectorExpr
 
 
@@ -382,7 +382,7 @@ def audit(tol=1e-10, samples=2000, seed=42):
     records.append(AuditRecord(
         "example2.kernels", "stated: N(T) = {0} = N(T*)",
         kd.to_json(), kd.as_tuple() == (0, 0)))
-    t2s = adjoint(t2)
+    t2s = star(t2)
     hypo2 = hyponormal_check(t2s, tol)
     refute2 = paranormal_refute(t2s, samples=min(samples, 2000), seed=seed)
     records.append(AuditRecord(

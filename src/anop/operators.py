@@ -475,12 +475,15 @@ def truncate(op, n):
         nr, nc = sizes[i], sizes[j]
         if isinstance(blk, BandedBlock):
             for off, dseq in blk.diagonals.items():
-                for c in range(nc):
-                    r = c + off
-                    if 0 <= r < nr:
-                        v, radius = dseq.entry_approx(min(r, c))
-                        mat[ri + r, cj + c] += complex(v)
-                        bound += radius
+                # entry k of the diagonal sits at (k + off, k) or (k, k - off)
+                length = min(nc, nr - off) - max(0, -off)
+                if length > 0:
+                    k = np.arange(length)
+                    mat[ri + max(off, 0) + k, cj + max(-off, 0) + k] += \
+                        _diagonal_floats(dseq, length)
+                    if not dseq.has_entries():
+                        for i in range(len(dseq.prefix), length):
+                            bound += dseq.entry_approx(i)[1]
                 bound += abs(dseq.limit) + dseq.tail_dev_bound(n)
         else:
             for (r, c), v in blk.entries.items():
@@ -489,6 +492,17 @@ def truncate(op, n):
                 else:
                     bound += abs(v)
     return TruncationResult(mat, labels, bound)
+
+
+def _diagonal_floats(dseq, length):
+    """complex(v) of the entries 0..length-1 of a diagonal, with the limit
+    standing for each entry beyond the prefix of a declared envelope."""
+    vals = [complex(v) for v in dseq.prefix[:length]]
+    if dseq.rule is None:
+        vals += [complex(dseq.limit)] * (length - len(vals))
+    else:
+        vals += [complex(dseq.entry(i)) for i in range(len(vals), length)]
+    return np.array(vals, dtype=complex)
 
 
 # -- structure helpers -------------------------------------------------------------

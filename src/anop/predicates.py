@@ -33,7 +33,7 @@ from .operators import (apply, apply_float, corner_sizes, dense_window, multiply
 from .scalars import Scalar
 from .spectral import (adjoint_modulus_summary, cogram, count_spectrum_in, gram,
                        memoised, modulus_summary, shares_derived, star,
-                       summary_eigenspace, symbol)
+                       summary_eigenspace, symbol, symbolic_essential_spectrum)
 from .subspaces import Subspace
 from .vectors import VectorExpr
 
@@ -168,7 +168,7 @@ def _sample_region(t):
 _GRID = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3) if n] + [Fraction(0)]
 _GRID_FLOAT = np.array([float(g) for g in _GRID])
 _NO_IM = len(_GRID) - 1
-_FIRST_BATCH, _BATCH = 64, 128
+_FIRST_BATCH, _MAX_BATCH = 64, 4096
 _SUPPORT_CAP = 12          # most coordinates a random sample sets
 
 
@@ -185,10 +185,12 @@ def iter_sample_vectors(t, regions, count, seed):
     (`_sample_region(t)`: the corner plus one band beyond): first one batch
     of the basis vectors of that region, then `count` random vectors with
     rational values on at most `_SUPPORT_CAP` coordinates, drawn lazily in
-    batches of 64 and then 128, so a caller that stops early draws no
-    further batch. The random vectors come from CPython's
-    `random.Random(seed)` stream, consumed word for word as its `randint`,
-    `sample`, `choice` and `random` would consume it (see `_draw_samples`)."""
+    batches of 64, 128, 256, ... up to 4096, so a caller that stops early
+    draws no further batch. Each batch draws only its own samples, so the
+    stream does not depend on the batch sizes. The random vectors come from
+    CPython's `random.Random(seed)` stream, consumed word for word as its
+    `randint`, `sample`, `choice` and `random` would consume it (see
+    `_draw_samples`)."""
     nreg = len(regions)
     yield SampleBatch(np.eye(nreg, dtype=complex),
                       lambda j: VectorExpr.basis(t.spaces, *regions[j]))
@@ -202,7 +204,7 @@ def iter_sample_vectors(t, regions, count, seed):
             _GRID_FLOAT[re] + 1j * _GRID_FLOAT[im]
         yield SampleBatch(mat, _exact_columns(t.spaces, regions, rows, re, im, ends))
         drawn += m
-        size = _BATCH
+        size = min(2 * size, _MAX_BATCH)
 
 
 def _draw_samples(rng, nreg, m):
@@ -660,29 +662,38 @@ def norm_attaining_check(t, tol=1e-10, trunc=256):
         tolerances={"tol": tol})
 
 
-def an_check(t, tol=1e-10, trunc=256):
-    """Singleton essential spectrum of T*T plus finitely many spectrum points
-    below the essential minimum."""
-    s = modulus_summary(t, tol, trunc).base
-    points = [p for p in s.ess if p[0] == "point"]
-    intervals = [p for p in s.ess if p[0] == "interval"]
-    evidence = {"ess": [_ess_json(p) for p in s.ess], "m2": s.m,
-                "m_e2": float(s.m_e)}
+def _ess_rule(t, ess, tol):
+    """The rule by which ess, the essential spectrum of T*T, refutes AN, or
+    None."""
+    intervals = [p for p in ess if p[0] == "interval"]
     if intervals:
         # a nonconstant real symbol has a range of positive width, so on
         # exact data every interval piece refutes; float widths meet tol
         lo, hi = intervals[0][1], intervals[-1][2]
         if t.is_exact_scalars() or hi - lo > tol:
-            return PredicateVerdict("an", REFUTED,
-                                    evidence={**evidence,
-                                              "rule": "essential spectrum has "
-                                                      "positive diameter"},
-                                    tolerances={"tol": tol})
-    if len(points) + len(intervals) > 1:
-        return PredicateVerdict("an", REFUTED,
-                                evidence={**evidence,
-                                          "rule": "essential spectrum has at least "
-                                                  "two points"},
+            return "essential spectrum has positive diameter"
+    if len(ess) > 1:
+        return "essential spectrum has at least two points"
+    return None
+
+
+def symbol_an_rule(t, tol=1e-10):
+    """The rule of an_check's refutation when the symbols of T*T decide it
+    before any window is built, else None (T*T takes the structured path, or
+    its symbols leave AN open)."""
+    ess = symbolic_essential_spectrum(gram(t), tol)
+    return None if ess is None else _ess_rule(t, ess, tol)
+
+
+def an_check(t, tol=1e-10, trunc=256):
+    """Singleton essential spectrum of T*T plus finitely many spectrum points
+    below the essential minimum."""
+    s = modulus_summary(t, tol, trunc).base
+    evidence = {"ess": [_ess_json(p) for p in s.ess], "m2": s.m,
+                "m_e2": float(s.m_e)}
+    rule = _ess_rule(t, s.ess, tol)
+    if rule is not None:
+        return PredicateVerdict("an", REFUTED, evidence={**evidence, "rule": rule},
                                 tolerances={"tol": tol})
     cnt = count_spectrum_in(s, s.m, s.m_e)
     if cnt == "infinite":

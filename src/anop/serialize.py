@@ -146,6 +146,13 @@ def _building(path):
         raise SchemaError(str(exc), path) from None
 
 
+def _certified(d):
+    """d, with the decay certificate of its rule derived now, so that a rule
+    whose certificate fails is refused while the file is read."""
+    d.decay
+    return d
+
+
 def _finite_float(x, path):
     return float(_part_from_json(x, path)[0])
 
@@ -196,7 +203,8 @@ def _diag_from_json(obj, path):
         decay = (_finite_float(d["C"], path + ".decay.C"),
                  _finite_float(d["p"], path + ".decay.p"))
     with _building(path):
-        return _index(obj, "offset", path), DiagonalSeq(prefix, limit, rule, decay)
+        return _index(obj, "offset", path), \
+            _certified(DiagonalSeq(prefix, limit, rule, decay))
 
 
 def _builtin(obj, path="builtin"):
@@ -221,7 +229,7 @@ def _builtin(obj, path="builtin"):
             else:
                 raise SchemaError("diag rule requires an exact real scale", path)
         with _building(path):
-            diag = DiagonalSeq(entries, limit, rule)
+            diag = _certified(DiagonalSeq(entries, limit, rule))
     else:
         raise SchemaError(f"unknown builtin {name!r}", path)
     return OperatorExpr((L2,), {(0, 0): BandedBlock({0: diag})})

@@ -22,6 +22,19 @@ at candidates read off the corner's float eigenvalues. A corner of 1x1
 blocks only, the usual T*T and TT* corner of U (+) D, needs no elimination,
 and up to n = 64 (`JACOBI_MAX_N`) no float eigensolver either:
 `jacobi.diagonal_pairs` builds the pairs `sym_eigen` would return.
+
+A symbolic summary (some component's symbol is not constant) keeps its
+window, the `truncate` of size max(trunc, corner + 8), and that window's
+`eigvalsh` values. It builds the half window that confirms a discrete
+eigenvalue only when some value lies outside the essential spectrum.
+`summary_eigenspace` solves the kept window with `sym_eigen` only when some
+kept value lies within 2e-7 max(1, max |w|) + ||m - m*||_F of the queried
+value: twice the reach of `_near_eigvecs`, plus the most that eigvalsh,
+which reads one triangle, and sym_eigen, which symmetrises, can disagree by.
+Any other query has the zero eigenspace, as the solve would find.
+`symbolic_essential_spectrum` reads the essential spectrum off the symbols
+alone, before any window, so that a caller can refuse an operator whose T*T
+has an interval there.
 """
 
 import contextvars
@@ -150,7 +163,7 @@ def _entries_available(op):
 
 
 def check_self_adjoint(op, tol):
-    adj = adjoint(op)
+    adj = star(op)
     if _blocks_identical(op, adj):
         return
     if op.is_exact_scalars() and _entries_available(op):
@@ -328,7 +341,9 @@ class SpectralSummary:
         self._corner_sizes = None
         self._corner_pairs = None
         self._blocks = None
-        self._window = None
+        self._window = None           # symbolic path: TruncationResult
+        self._window_eigs = None      # and its eigvalsh values
+        self._screen_margin = None
         self._exact_eigs = {}
         self._path = None
 
@@ -374,17 +389,21 @@ def _classify_component(op, i):
     return COMP_CONST if sym.is_constant() else COMP_SYMBOLIC
 
 
+def _classes(p):
+    return {i: _classify_component(p, i) for i in p.l2_components()}
+
+
 def positive_spectral_summary(p, tol=1e-10, trunc=256):
     """Summary of a self-adjoint positive-semidefinite operator."""
     check_self_adjoint(p, tol)
     s = SpectralSummary(p, tol)
-    classes = {i: _classify_component(p, i) for i in p.l2_components()}
+    classes = _classes(p)
     if any(c == COMP_UNCERTIFIED for c in classes.values()):
         raise UncertifiedTail("component tail is not in the certified class")
     if all(c in (COMP_CONST, COMP_DIAGRULE) for c in classes.values()):
         _structured_summary(s, classes, trunc)
     else:
-        _symbolic_summary(s, classes, trunc)
+        _symbolic_summary(s, trunc)
     return s
 
 
@@ -559,25 +578,35 @@ def _structured_summary(s, classes, trunc):
                          (not pairs or all_pairs_exact)) else "numerical"
 
 
-def _symbolic_summary(s, classes, trunc):
+def symbolic_essential_spectrum(p, tol=1e-10):
+    """The essential spectrum of the positive-summary candidate p read off
+    its symbols, with no window built, when p takes the symbolic path: some
+    component is symbolic and none is uncertified. None otherwise. The
+    checks come in the order positive_spectral_summary makes them."""
+    kinds = set(_classes(p).values())
+    if COMP_SYMBOLIC not in kinds or COMP_UNCERTIFIED in kinds:
+        return None
+    check_self_adjoint(p, tol)
+    return _merge_pieces(list(_symbol_pieces(p, tol).values()), tol)
+
+
+def _symbol_pieces(p, tol):
+    return {i: _symbol_piece(p, i, tol) for i in p.l2_components()}
+
+
+def _symbolic_summary(s, trunc):
     p, tol = s.op, s.tol
     s._path = "symbolic"
     sizes = corner_sizes(p)
     s._corner_sizes = sizes
-    pieces = []
-    for i in classes:
-        piece = _symbol_piece(p, i, tol)
-        if piece[0] == "point":
-            s.c0s[i] = piece[1]
-        pieces.append(piece)
-    s.ess = _merge_pieces(pieces, tol)
-    n1 = s._window = max(trunc, max(sizes) + 8)
-    t1 = truncate(p, n1)
-    w1 = np.linalg.eigvalsh(t1.matrix)
+    pieces = _symbol_pieces(p, tol)
+    s.c0s = {i: pc[1] for i, pc in pieces.items() if pc[0] == "point"}
+    s.ess = _merge_pieces(list(pieces.values()), tol)
+    n1 = max(trunc, max(sizes) + 8)
+    s._window = truncate(p, n1)
+    w1 = s._window_eigs = np.linalg.eigvalsh(s._window.matrix)
     if w1.size and w1[0] < -max(tol, 1e-12) * max(1.0, abs(w1[-1])):
         raise NotPositive(f"truncation eigenvalue {w1[0]:.3g} < 0")
-    t0 = truncate(p, max(n1 // 2, max(sizes) + 4))
-    w0 = np.linalg.eigvalsh(t0.matrix)
 
     def outside(v):
         for piece in s.ess:
@@ -591,8 +620,12 @@ def _symbolic_summary(s, classes, trunc):
         return True
 
     cands = [v for v in w1 if outside(v)]
-    stable = [v for v in cands
-              if np.any(np.abs(w0 - v) <= 1e-6 * max(1.0, abs(v)))]
+    stable = []
+    if cands:
+        # a discrete eigenvalue shows in the half window too
+        w0 = np.linalg.eigvalsh(truncate(p, max(n1 // 2, max(sizes) + 4)).matrix)
+        stable = [v for v in cands
+                  if np.any(np.abs(w0 - v) <= 1e-6 * max(1.0, abs(v)))]
     vals = []
     for v in stable:
         if not vals or abs(v - vals[-1][0]) > 1e-8 * max(1.0, abs(v)):
@@ -619,11 +652,11 @@ def summary_eigenspace(s, value):
     vf = float(value)
     if s._path != "structured":
         if s._corner_pairs is None:
-            t1 = truncate(p, s._window)
-            s._corner_pairs = sym_eigen(t1.matrix, max(tol, 1e-12))
-            s._labels = t1.labels
-        return Subspace.span(p.spaces,
-                             _near_eigvecs(p, s._labels, s._corner_pairs, vf))
+            if _screen_clears(s, vf):
+                return Subspace.zero(p.spaces)
+            s._corner_pairs = sym_eigen(s._window.matrix, max(tol, 1e-12))
+        return Subspace.span(p.spaces, _near_eigvecs(p, s._window.labels,
+                                                     s._corner_pairs, vf))
     sizes = s._corner_sizes
     starts, labels = window_layout(p.spaces, sizes)
     corner_vecs = []
@@ -650,6 +683,24 @@ def summary_eigenspace(s, value):
         # extras must avoid the tail region; corner vectors do by construction
         return Subspace.cofinite(p.spaces, tails, vecs)
     return Subspace.span(p.spaces, vecs)
+
+
+def _screen_clears(s, vf):
+    """Whether no kept eigvalsh value of a symbolic summary's window lies
+    within the screen's margin of vf, so that `_near_eigvecs` would keep no
+    pair of the window's sym_eigen. False whenever sym_eigen would refuse
+    the window, so that its refusal is raised."""
+    if s._screen_margin is None:
+        m, w = s._window.matrix, s._window_eigs
+        herm = m.conj().T
+        herm_dev = float(np.linalg.norm(m - herm))
+        solvable = (herm_dev <= max(s.tol, 1e-12) and np.all(np.isfinite(w)) and
+                    np.all(np.isfinite(0.5 * (m + herm))))
+        # an infinite margin clears nothing
+        s._screen_margin = (2e-7 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
+                            + herm_dev) if solvable else math.inf
+    margin = s._screen_margin
+    return math.isfinite(margin) and not np.any(np.abs(s._window_eigs - vf) <= margin)
 
 
 def _near_eigvecs(p, labels, pairs, vf):

@@ -173,6 +173,77 @@ def test_truncate_tail_bound_sound():
     assert np.linalg.norm(diff, 2) <= t8.tail_bound + 1e-12
 
 
+def _truncate_per_entry(op, n):
+    """truncate's matrix and tail bound, one entry at a time."""
+    sizes = window_sizes(op, n)
+    starts, labels = window_layout(op.spaces, sizes)
+    mat = np.zeros((len(labels), len(labels)), dtype=complex)
+    bound = 0.0
+    for (i, j), blk in op.blocks.items():
+        ri, cj = starts[i], starts[j]
+        nr, nc = sizes[i], sizes[j]
+        if isinstance(blk, BandedBlock):
+            for off, dseq in blk.diagonals.items():
+                for c in range(nc):
+                    r = c + off
+                    if 0 <= r < nr:
+                        v, radius = dseq.entry_approx(min(r, c))
+                        mat[ri + r, cj + c] += complex(v)
+                        bound += radius
+                bound += abs(dseq.limit) + dseq.tail_dev_bound(n)
+        else:
+            for (r, c), v in blk.entries.items():
+                if r < nr and c < nc:
+                    mat[ri + r, cj + c] += complex(v)
+                else:
+                    bound += abs(v)
+    return mat, bound
+
+
+_ENVELOPE = OperatorExpr((L2, finite(2)), {
+    (0, 0): BandedBlock({0: DiagonalSeq([Scalar.inexact(-0.0), 2], Scalar.inexact(0.5),
+                                        decay=(3, 1.5)),
+                         -2: DiagonalSeq([1], rule=RationalFn([1, 2], [3, 1]))}),
+    (1, 0): FiniteRankBlock({(1, 5): Scalar.inexact(0.25, -1)})})
+
+
+@given(banded_operators(), st.integers(2, 12), st.booleans())
+@example(_ENVELOPE, 4, False)
+@example(_ENVELOPE, 9, True)
+def test_truncate_matches_the_per_entry_window(op, n, scaled):
+    # bit for bit, the sign of a zero included, with the same tail bound
+    if scaled:
+        op = op.scaled(0.7)
+    got = truncate(op, n)
+    mat, bound = _truncate_per_entry(op, n)
+    assert got.matrix.tobytes() == mat.tobytes()
+    assert got.tail_bound == bound
+
+
+@given(banded_operators())
+def test_ruled_decay_is_derived_from_the_rule(op):
+    # on drawn operators and their products, each ruled diagonal's
+    # certificate is its rule's, as floats
+    for t in (op, multiply(adjoint(op), op)):
+        for blk in t.blocks.values():
+            for d in getattr(blk, "diagonals", {}).values():
+                if d.rule is not None:
+                    assert d.decay == tuple(float(x) for x in d.rule.decay())
+
+
+def test_ruled_decay_is_derived_on_first_read(monkeypatch):
+    calls = []
+    real = RationalFn.decay
+    monkeypatch.setattr(RationalFn, "decay", lambda self: calls.append(self) or real(self))
+    t = example2()
+    q = multiply(adjoint(t), t)
+    ruled = [d for blk in q.blocks.values() for d in blk.diagonals.values()
+             if d.rule is not None]
+    assert ruled and calls == []
+    assert ruled[0].decay == tuple(float(x) for x in real(ruled[0].rule))
+    assert len(calls) == 1
+
+
 def test_tail_action_matches_symbol_prediction():
     # a unit vector supported beyond every prefix sees only the limits
     for seed in range(6):

@@ -187,6 +187,13 @@ def test_batches_hold_the_reference_candidates():
         assert np.array_equal(np.hstack([b.matrix for b in batches]), floats.T), name
 
 
+def test_batches_double_up_to_4096():
+    t = example2()
+    regions = _sample_region(t)
+    sizes = [b.matrix.shape[1] for b in predicates.iter_sample_vectors(t, regions, 10000, 7)]
+    assert sizes == [len(regions), 64, 128, 256, 512, 1024, 2048, 4096, 1872]
+
+
 def test_deferred_path_matches_reference(monkeypatch):
     # a screen that clears nothing sends every column through the
     # per-sample test, which no hyponormal workload reaches otherwise

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +51,33 @@ def test_a_declared_decay_never_tightens_the_rule_certificate():
     for seq in seqs:
         assert seq.decay == derived
         assert seq.tail_dev_bound(3) >= abs(complex(seq.entry(3) - seq.limit)) == 0.25
+
+
+GOLDEN_OPERATORS = sorted((Path(__file__).parent / "golden" / "operators").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_OPERATORS, ids=lambda p: p.stem)
+def test_golden_ruled_decay_is_the_rules(path):
+    t = load(str(path))
+    for blk in t.blocks.values():
+        for d in getattr(blk, "diagonals", {}).values():
+            if d.rule is not None:
+                assert d.decay == tuple(float(x) for x in d.rule.decay())
+
+
+def test_a_rule_from_a_file_is_certified_while_the_file_is_read(monkeypatch):
+    # a ruled diagonal built in memory derives its certificate when read; one
+    # read from a file derives it before parse returns
+    text = serialize(example2())
+    calls = []
+    real = RationalFn.decay
+    monkeypatch.setattr(RationalFn, "decay", lambda self: calls.append(self) or real(self))
+    seq = DiagonalSeq(rule=RationalFn([2, 1], [1, 1]))
+    assert calls == []
+    parse(text)
+    assert len(calls) == 1
+    seq.decay
+    assert len(calls) == 2
 
 
 def test_a_negative_decay_constant_is_refused():

@@ -1,6 +1,7 @@
 """Spectral module contracts: symbols, essential spectra, positive
 summaries, moduli, diagonalization, and kernel dimensions."""
 
+import copy
 import math
 from fractions import Fraction
 
@@ -9,16 +10,19 @@ import pytest
 
 from anop.blocks import BandedBlock, FiniteRankBlock
 from anop.diagonals import DiagonalSeq
-from anop.errors import FiniteComponent, NotAN, NotPositive, NotSelfAdjoint
+from anop.errors import (FiniteComponent, NotAN, NotPositive, NotSelfAdjoint,
+                         UncertifiedTail)
 from anop.gallery import diag_operator, example1, example2, jacobi_operator, right_shift
-from anop.operators import (L2, OperatorExpr, adjoint, identity_operator,
+from anop.jacobi import sym_eigen
+from anop.operators import (L2, OperatorExpr, adjoint, direct_sum, identity_operator,
                             multiply, finite)
 from anop.ratfn import RationalFn
 from anop.scalars import Scalar
-from anop.spectral import (EigStream, Symbol, count_spectrum_in, essential_spectrum,
-                           kernel_dims, modulus_summary, positive_an_diagonalize,
-                           positive_spectral_summary, summary_eigenspace,
-                           symbol)
+from anop.spectral import (EigStream, Symbol, _near_eigvecs, count_spectrum_in,
+                           essential_spectrum, gram, kernel_dims, modulus_summary,
+                           positive_an_diagonalize, positive_spectral_summary,
+                           summary_eigenspace, symbol, symbolic_essential_spectrum)
+from anop.subspaces import Subspace
 from conftest import random_exact_operator
 
 
@@ -176,7 +180,87 @@ def test_summary_eigenspace_truncates_at_the_summary_window(monkeypatch):
     p = jacobi_operator(diag=DiagonalSeq([5], 2), offdiag=DiagonalSeq(limit=1))
     s = positive_spectral_summary(p, trunc=64)
     summary_eigenspace(s, s.norm)
-    assert sizes == [64, 32, 64]
+    # the window and the half window; the eigenspace solves the kept window
+    assert sizes == [64, 32]
+
+
+def _reference_eigenspace(s, pairs, value):
+    """summary_eigenspace of a symbolic summary without the screen: the
+    pairs of sym_eigen of the kept window within reach of value."""
+    return Subspace.span(s.op.spaces,
+                         _near_eigvecs(s.op, s._window.labels, pairs, float(value)))
+
+
+def _same_subspace(a, b):
+    return a.kind == b.kind and [v.to_json() for v in a.vectors] == \
+        [v.to_json() for v in b.vectors]
+
+
+JACOBI_VARIANTS = {
+    "free": jacobi_operator(),
+    "prefix5": jacobi_operator(diag=DiagonalSeq([5])),
+    "prefix5x0.7": jacobi_operator(diag=DiagonalSeq([5])).scaled(0.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBI_VARIANTS))
+def test_eigenspace_screen_matches_the_solve(name):
+    # the screen skips only solves from which nothing would be kept: at the
+    # norm, every discrete value, both ends of the essential spectrum, and
+    # just inside (0.9e-7) and outside (1.1e-7) the reach of _near_eigvecs
+    # around window eigenvalues, the answer is the full solve's
+    s = modulus_summary(JACOBI_VARIANTS[name], trunc=96).base
+    assert s._path == "symbolic"
+    pairs = sym_eigen(s._window.matrix, max(s.tol, 1e-12))
+    w = s._window_eigs
+    scale = max(1.0, float(np.max(np.abs(w))))
+    ((_, lo, hi),) = [pc for pc in s.ess if pc[0] == "interval"]
+    values = [s.norm, lo, hi] + [d.value for d in s.discrete]
+    inside = []
+    for k in (len(w) - 1, len(w) // 2):
+        inside += [w[k] + 0.9e-7 * scale, w[k] - 0.9e-7 * scale]
+        values += [w[k] + 1.1e-7 * scale, w[k] - 1.1e-7 * scale]
+    for value in values + inside:
+        got = summary_eigenspace(copy.copy(s), value)
+        assert _same_subspace(got, _reference_eigenspace(s, pairs, value)), value
+    for value in inside:
+        assert not summary_eigenspace(copy.copy(s), value).is_zero()
+    if name != "free":
+        assert s.discrete and not summary_eigenspace(copy.copy(s), s.norm).is_zero()
+
+
+def test_eigenspace_screen_skips_the_solve_at_the_free_norm(monkeypatch):
+    # no window value lies outside [0, 4], so no half window is built either
+    import anop.spectral as spectral
+    calls, sizes = [], []
+    real_eigen, real_truncate = spectral.sym_eigen, spectral.truncate
+    monkeypatch.setattr(spectral, "sym_eigen",
+                        lambda *a, **k: calls.append(a) or real_eigen(*a, **k))
+    monkeypatch.setattr(spectral, "truncate",
+                        lambda op, n: sizes.append(n) or real_truncate(op, n))
+    s = modulus_summary(jacobi_operator()).base
+    assert summary_eigenspace(s, s.norm).is_zero()
+    assert calls == [] and sizes == [256]
+
+
+def test_symbolic_essential_spectrum_keeps_the_summary_checks():
+    # the symbols give the summary's essential spectrum; an operator that is
+    # not self-adjoint fails as the summary fails, and one with an
+    # uncertified component, or on the structured path, gets no answer
+    free = gram(jacobi_operator())
+    assert symbolic_essential_spectrum(free) == positive_spectral_summary(free).ess
+    shifted = identity_operator((L2,)).scaled(2) + right_shift(1)
+    for call in (positive_spectral_summary, symbolic_essential_spectrum):
+        with pytest.raises(NotSelfAdjoint, match="operator differs from its adjoint"):
+            call(shifted)
+    ruled = OperatorExpr((L2,), {(0, 0): BandedBlock({
+        0: DiagonalSeq(rule=RationalFn([1], [1, 1])), 1: DiagonalSeq(limit=1),
+        -1: DiagonalSeq(limit=1)})})
+    mixed = direct_sum(jacobi_operator(), ruled)
+    assert symbolic_essential_spectrum(mixed) is None
+    with pytest.raises(UncertifiedTail):
+        positive_spectral_summary(mixed)
+    assert symbolic_essential_spectrum(gram(example1())) is None
 
 
 def test_positive_summary_example1_tstart():

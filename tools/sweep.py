@@ -6,7 +6,9 @@ of operator files, one JSON line per run.
 The operators are the golden operator files of `tests/golden/operators/`,
 `random_theorem_form` seeds 1-40 as drawn and seeds 1-30 scaled by 0.7. On
 each runs every `check` predicate, `spectrum` of T*T, TT* and the modulus,
-`decompose` and `certify`, all with `--json --samples 300`, through
+`decompose` and `certify`, all with `--json --samples 300`. Then come
+`audit --json` and `gallery NAME` for every named gallery operator (bare
+`theorem_form` exits 64: it needs parameters). All run through
 `anop.cli.main` in one process. Each line holds the argv (the operator file
 named by its stem), the exit code, the sha256 of stdout and the last line
 of stderr. The program is imported from `src/` next to `tools/`, so two
@@ -36,6 +38,8 @@ OPTIONS = ["--json", "--samples", "300"]
 COMMANDS = ([["check", "--predicate", p] for p in cli.PREDICATES]
             + [["spectrum", "--of", of] for of in ("T*T", "TT*", "modulus")]
             + [["decompose"], ["certify"]])
+GALLERY = ("example1", "example2", "right_shift", "nilpotent", "jacobi",
+           "flip_unitary", "scaled_shift", "theorem_form")
 
 
 def operator_files(workdir):
@@ -66,15 +70,24 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def report(shown, argv):
+    """Run argv and print its line, with `shown` as the argv."""
+    code, out, err = run(argv)
+    lines = err.strip().splitlines()
+    print(json.dumps({"argv": shown, "exit": code,
+                      "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
+                      "stderr_last": lines[-1] if lines else ""}), flush=True)
+
+
 def main():
     with tempfile.TemporaryDirectory() as workdir:
         for name, path in operator_files(workdir):
             for cmd in COMMANDS:
-                code, out, err = run([cmd[0], str(path)] + cmd[1:] + OPTIONS)
-                lines = err.strip().splitlines()
-                print(json.dumps({"argv": [cmd[0], name] + cmd[1:] + OPTIONS, "exit": code,
-                                  "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
-                                  "stderr_last": lines[-1] if lines else ""}), flush=True)
+                report([cmd[0], name] + cmd[1:] + OPTIONS,
+                       [cmd[0], str(path)] + cmd[1:] + OPTIONS)
+    report(["audit", "--json"], ["audit", "--json"])
+    for name in GALLERY:
+        report(["gallery", name], ["gallery", name])
 
 
 if __name__ == "__main__":
