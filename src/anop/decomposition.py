@@ -235,18 +235,15 @@ def _collect_above(s_q, max_peel):
     """Distinct squared values above the essential minimum, descending;
     returns (values, truncated_flag)."""
     m_e2 = float(s_q.m_e)
-    vals = [d.value for d in s_q.discrete if d.source == "corner" and
-            float(d.value) > m_e2 + 1e-12 * max(1.0, m_e2)]
+    vals = [d.value for d in s_q.discrete
+            if float(d.value) > m_e2 + 1e-12 * max(1.0, m_e2)]
     truncated = False
     for st in s_q.streams:
         mono = st.fn.monotone_from(st.start)
         if mono == "dec":
             # infinitely many distinct values accumulate at the limit from
             # above; peel within the budget only
-            for k in range(st.start, st.start + max_peel):
-                v = st.fn.eval(k)
-                if float(v) > m_e2 + 1e-15:
-                    vals.append(v)
+            vals += [v for v in st.head(max_peel) if float(v) > m_e2 + 1e-15]
             truncated = True
         # increasing streams approach the (singleton) essential point from
         # below and contribute nothing above it
@@ -353,12 +350,11 @@ def _peel(t, tol, max_peel, samples, seed, trunc):
     # delta spectrum in [m, m_e)
     m_e2 = float(s_q.m_e)
     eps = 1e-12 * max(1.0, m_e2)
-    deltas = [d.value for d in s_q.discrete
-              if d.source == "corner" and float(d.value) < m_e2 - eps]
+    deltas = [d.value for d in s_q.discrete if float(d.value) < m_e2 - eps]
     for st in s_q.streams:
         cnt = st.count_below(s_q.m_e)
         if isinstance(cnt, int):
-            deltas.extend(st.fn.eval(k) for k in range(st.start, st.start + cnt))
+            deltas += st.head(cnt)
     deltas = _distinct_values(deltas)
     delta_spectrum = [math.sqrt(max(float(v), 0.0)) for v in deltas]
 

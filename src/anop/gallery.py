@@ -17,8 +17,8 @@ from .exactla import mat_identity, mat_mul
 from .operators import (L2, OperatorExpr, apply, corner_sizes,
                         dense_window, direct_sum, finite, ops_equal_exact,
                         window_layout)
-from .predicates import (an_check, compute_M_and_Mstar, hyponormal_check,
-                         paranormal_refute, _jsonable)
+from .predicates import (_commutator, _jsonable, an_check, compute_M_and_Mstar,
+                         hyponormal_check, paranormal_refute)
 from .ratfn import RationalFn
 from .scalars import Scalar
 from .spectral import (cogram, essential_spectrum, gram, kernel_dims,
@@ -352,8 +352,7 @@ def audit(tol=1e-10, samples=2000, seed=42):
                           "by the adjoint identity, and is audited as TT*"}))
 
     # (b) hyponormality corner form and its sign, against the prose claim
-    diff = tts - ttstar
-    corner, labels = _support_corner(diff)
+    corner, labels = _support_corner(_commutator(t1))
     psd, _ = psd_decide(corner)
     corner_lists = [[[str(v.re), str(v.im)] for v in row] for row in corner]
     claimed_not_hypo = True

@@ -13,6 +13,11 @@ norm, the essential minimum) is one Python number: a Fraction when the
 summary proved it exactly, a float otherwise, as `Scalar.re` returns it.
 Tolerance tests and printed figures read it through float().
 
+A summary's `discrete` holds its corner's eigenvalues only; those of a ruled
+diagonal tail live in `streams`, one `EigStream` rule each, evaluated where
+read. A report lists the first min(trunc, 64) values of each stream beside
+the corner's (`listed_eigenvalues`).
+
 The finite corner of an exact structured summary is split once into the
 connected blocks of its off-diagonal pattern (`_corner_blocks`), the one
 place that splits a matrix into blocks; `exactla` eliminates whole matrices.
@@ -46,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from .blocks import BandedBlock
-from .errors import (FiniteComponent, NotPositive, NotSelfAdjoint,
+from .errors import (FiniteComponent, NotAN, NotPositive, NotSelfAdjoint,
                      UncertifiedTail)
 from .exactla import _unit, kernel_basis
 from .jacobi import diagonal_pairs, sym_eigen
@@ -58,7 +63,7 @@ from .subspaces import Subspace
 from .vectors import VectorExpr
 
 THETA_SAMPLES = 4096
-_STREAM_PAIRS = 64  # eigenpairs positive_an_diagonalize lists per stream
+_STREAM_PAIRS = 64  # most values (and eigenpairs) listed per stream
 
 COMP_CONST = "const"
 COMP_DIAGRULE = "diagrule"
@@ -74,13 +79,17 @@ class Symbol:
 
     coeffs: dict
 
+    @functools.cached_property
+    def _terms(self):
+        return [(j, complex(c)) for j, c in self.coeffs.items()]
+
     def eval_theta(self, theta):
         """Value at an angle or an array of angles. Complex products are
         spelled out in real arithmetic (numpy's complex array product rounds
         unlike its scalar one), so an array matches single angles bit for bit."""
         re = im = 0.0
-        for j, c in self.coeffs.items():
-            c, e = complex(c), np.exp(1j * j * theta)
+        for j, c in self._terms:
+            e = np.exp(1j * j * theta)
             re = re + (c.real * e.real - c.imag * e.imag)
             im = im + (c.real * e.imag + c.imag * e.real)
         return re + 1j * im
@@ -295,6 +304,10 @@ class EigStream:
     start: int
     fn: RationalFn
 
+    def head(self, n):
+        """The first n values fn(start), ..., fn(start + n - 1)."""
+        return [self.fn.eval(k) for k in range(self.start, self.start + n)]
+
     def count_below(self, bound):
         """#{k >= start: fn(k) < bound}; int, 'infinite' or 'unknown'. A
         count n means the values below the bound are those at start..start+n-1.
@@ -318,17 +331,17 @@ class EigStream:
 class DiscreteEig:
     value: object                     # Fraction when exact, else float
     mult: int
-    source: str = "corner"
 
 
 class SpectralSummary:
-    """Spectral facts for a positive operator: essential spectrum, discrete
-    eigenvalues, norm, minimum modulus and essential minimum modulus, plus
-    lazily computed eigenspaces."""
+    """Spectral facts for a positive operator: essential spectrum, corner
+    eigenvalues, tail eigenvalue streams, norm, minimum modulus and essential
+    minimum modulus, plus lazily computed eigenspaces."""
 
-    def __init__(self, op, tol):
+    def __init__(self, op, tol, trunc):
         self.op = op
         self.tol = tol
+        self.trunc = trunc
         self.tier = "numerical"
         self.ess = []
         self.discrete = []
@@ -353,9 +366,19 @@ class SpectralSummary:
                 "discrete": [{"value": float(d.value), "mult": d.mult,
                               **({"exact": str(d.value)}
                                  if isinstance(d.value, Fraction) else {})}
-                             for d in self.discrete],
+                             for d in listed_eigenvalues(self)],
                 "norm": float(self.norm), "m": self.m, "m_e": float(self.m_e),
                 "tier": "Exact" if self.tier == "exact" else "Numerical"}
+
+
+def listed_eigenvalues(s):
+    """The discrete eigenvalues a report of summary s lists, descending: the
+    corner's, and the first min(trunc, _STREAM_PAIRS) values of each stream,
+    each of multiplicity 1, in one stable sort."""
+    cap = min(s.trunc, _STREAM_PAIRS)
+    listed = s.discrete + [DiscreteEig(v, 1) for st in s.streams
+                           for v in st.head(cap)]
+    return sorted(listed, key=lambda d: -float(d.value))
 
 
 def _ess_to_json(ess):
@@ -396,14 +419,14 @@ def _classes(p):
 def positive_spectral_summary(p, tol=1e-10, trunc=256):
     """Summary of a self-adjoint positive-semidefinite operator."""
     check_self_adjoint(p, tol)
-    s = SpectralSummary(p, tol)
+    s = SpectralSummary(p, tol, trunc)
     classes = _classes(p)
     if any(c == COMP_UNCERTIFIED for c in classes.values()):
         raise UncertifiedTail("component tail is not in the certified class")
     if all(c in (COMP_CONST, COMP_DIAGRULE) for c in classes.values()):
-        _structured_summary(s, classes, trunc)
+        _structured_summary(s, classes)
     else:
-        _symbolic_summary(s, trunc)
+        _symbolic_summary(s)
     return s
 
 
@@ -451,7 +474,7 @@ def _corner_kernel(s, lam):
     return [v for _, v in sorted(found, key=lambda fv: fv[0])]
 
 
-def _structured_summary(s, classes, trunc):
+def _structured_summary(s, classes):
     p, tol = s.op, s.tol
     s._path = "structured"
     sizes = corner_sizes(p)
@@ -546,17 +569,12 @@ def _structured_summary(s, classes, trunc):
             j += 1
         entries.append((pairs[k][0], mult))
         k = j
-    # split into discrete/c0 classes; exact values compare exactly so a
-    # discrete eigenvalue merely float-close to a tail constant survives
+    # split into discrete/c0 classes, descending; exact values compare exactly
+    # so a discrete eigenvalue merely float-close to a tail constant survives
     c0_vals = [c.re for c in s.c0s.values()]
     for val, mult in sorted(entries, key=lambda e: -float(e[0])):
         if not any(_same_value(val, c, 1e-9 * scale) for c in c0_vals):
             s.discrete.append(DiscreteEig(val, mult))
-    # stream values listed (capped) for reporting
-    for st in s.streams:
-        for k in range(st.start, st.start + min(trunc, 64)):
-            s.discrete.append(DiscreteEig(st.fn.eval(k), 1, source="stream"))
-    s.discrete.sort(key=lambda d: -float(d.value))
     # norm / m / m_e from the refined corner entries, the tail constants and
     # the exact stream extremes; the norm is exact when the largest exact
     # candidate attains it, m_e when every essential point is exact
@@ -581,28 +599,22 @@ def _structured_summary(s, classes, trunc):
 def symbolic_essential_spectrum(p, tol=1e-10):
     """The essential spectrum of the positive-summary candidate p read off
     its symbols, with no window built, when p takes the symbolic path: some
-    component is symbolic and none is uncertified. None otherwise. The
-    checks come in the order positive_spectral_summary makes them."""
+    component is symbolic and none is uncertified. None otherwise."""
     kinds = set(_classes(p).values())
     if COMP_SYMBOLIC not in kinds or COMP_UNCERTIFIED in kinds:
         return None
-    check_self_adjoint(p, tol)
-    return _merge_pieces(list(_symbol_pieces(p, tol).values()), tol)
+    return essential_spectrum(p, tol)
 
 
-def _symbol_pieces(p, tol):
-    return {i: _symbol_piece(p, i, tol) for i in p.l2_components()}
-
-
-def _symbolic_summary(s, trunc):
+def _symbolic_summary(s):
     p, tol = s.op, s.tol
     s._path = "symbolic"
     sizes = corner_sizes(p)
     s._corner_sizes = sizes
-    pieces = _symbol_pieces(p, tol)
+    pieces = {i: _symbol_piece(p, i, tol) for i in p.l2_components()}
     s.c0s = {i: pc[1] for i, pc in pieces.items() if pc[0] == "point"}
     s.ess = _merge_pieces(list(pieces.values()), tol)
-    n1 = max(trunc, max(sizes) + 8)
+    n1 = max(s.trunc, max(sizes) + 8)
     s._window = truncate(p, n1)
     w1 = s._window_eigs = np.linalg.eigvalsh(s._window.matrix)
     if w1.size and w1[0] < -max(tol, 1e-12) * max(1.0, abs(w1[-1])):
@@ -716,15 +728,8 @@ def count_spectrum_in(s, lo, hi):
     int, 'infinite' or 'unknown'."""
     if hi <= lo:
         return 0
-    count = 0
-    seen = set()
-    for d in s.discrete:
-        v = float(d.value)
-        if d.source == "corner" and lo - 1e-12 <= v < hi - 1e-12:
-            key = round(v, 9)
-            if key not in seen:
-                seen.add(key)
-                count += 1
+    vals = [float(d.value) for d in s.discrete]
+    count = len({round(v, 9) for v in vals if lo - 1e-12 <= v < hi - 1e-12})
     for c0 in s.c0s.values():
         v = float(c0.re)
         if lo - 1e-12 <= v < hi - 1e-12:
@@ -752,9 +757,7 @@ class ModulusSummary:
             else:
                 self.ess.append(("interval", math.sqrt(max(piece[1], 0.0)),
                                  math.sqrt(max(piece[2], 0.0))))
-        self.discrete = [DiscreteEig(math.sqrt(max(float(d.value), 0.0)), d.mult,
-                                     d.source)
-                         for d in base.discrete]
+        self.discrete = [_root(d) for d in base.discrete]
         self.norm = math.sqrt(max(float(base.norm), 0.0))
         self.m = math.sqrt(max(base.m, 0.0))
         self.m_e = math.sqrt(max(float(base.m_e), 0.0))
@@ -762,9 +765,14 @@ class ModulusSummary:
 
     def to_json(self):
         return {"ess": _ess_to_json(self.ess),
-                "discrete": [{"value": d.value, "mult": d.mult} for d in self.discrete],
+                "discrete": [{"value": d.value, "mult": d.mult}
+                             for d in map(_root, listed_eigenvalues(self.base))],
                 "norm": self.norm, "m": self.m, "m_e": self.m_e,
                 "tier": "Exact" if self.tier == "exact" else "Numerical"}
+
+
+def _root(d):
+    return DiscreteEig(math.sqrt(max(float(d.value), 0.0)), d.mult)
 
 
 def modulus_summary(t, tol=1e-10, trunc=256):
@@ -803,25 +811,17 @@ def positive_an_diagonalize(p, tol=1e-10, trunc=256):
     """Explicit eigenpair expansion of a positive operator that passes the
     singleton-essential-spectrum criterion; the four structural clauses of
     the expansion are checked on the output and reported."""
-    from .errors import NotAN
     s = positive_spectral_summary(p, tol, trunc)
-    pts = [pc for pc in s.ess]
-    if len(pts) != 1 or pts[0][0] != "point":
+    if len(s.ess) != 1 or s.ess[0][0] != "point":
         raise NotAN("essential spectrum is not a single point")
     cnt = count_spectrum_in(s, s.m, s.m_e)
     if cnt == "infinite":
         raise NotAN("infinitely many spectrum points below the essential minimum")
-    pairs = []
-    truncated = False
-    for d in s.discrete:
-        if d.source != "corner":
-            continue
-        pairs.append((float(d.value), summary_eigenspace(s, d.value)))
+    pairs = [(float(d.value), summary_eigenspace(s, d.value)) for d in s.discrete]
     for st in s.streams:
-        for k in range(st.start, st.start + _STREAM_PAIRS):
-            pairs.append((float(st.fn.eval(k)),
+        for k, v in enumerate(st.head(_STREAM_PAIRS), st.start):
+            pairs.append((float(v),
                           Subspace.span(p.spaces, [VectorExpr.basis(p.spaces, st.comp, k)])))
-        truncated = True
     c0_vals = sorted({float(c.re) for c in s.c0s.values()}, reverse=True)
     inf_val = c0_vals[0] if c0_vals else None
     if inf_val is not None:
@@ -847,7 +847,7 @@ def positive_an_diagonalize(p, tol=1e-10, trunc=256):
               abs(limit_point - inf_val) <= 1e-12)),
     }
     return DiagonalizationResult(pairs, limit_point if not isinstance(limit_point, list)
-                                 else None, inf_val, clauses, truncated)
+                                 else None, inf_val, clauses, bool(s.streams))
 
 
 # -- kernel dimensions ---------------------------------------------------------------

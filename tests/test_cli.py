@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -89,6 +90,23 @@ def test_spectrum_ttstar_example2(tmp_path):
     rep = json.loads(out)["report"]
     pts = [e["point"] for e in rep["ess"]]
     assert pts == [[0, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("trunc, listed", [([], 64), (["--trunc", "32"], 32)])
+def test_spectrum_lists_the_first_stream_values(tmp_path, trunc, listed):
+    # T*T of example 2 has no corner eigenvalue and one stream 1/(k+1)^2 from
+    # k = 1; a report lists its first min(trunc, 64) values
+    p = tmp_path / "ex2.json"
+    p.write_text(serialize(example2()))
+    values = [Fraction(1, (k + 1) ** 2) for k in range(1, listed + 1)]
+    code, out = run_cli(["spectrum", str(p), "--of", "T*T", "--json"] + trunc)
+    assert code == 0
+    assert [(d["exact"], d["mult"]) for d in json.loads(out)["report"]["discrete"]] == \
+        [(str(v), 1) for v in values]
+    code, out = run_cli(["spectrum", str(p), "--of", "modulus", "--json"] + trunc)
+    assert code == 0
+    assert [(d["value"], d["mult"]) for d in json.loads(out)["report"]["discrete"]] == \
+        [(math.sqrt(float(v)), 1) for v in values]
 
 
 def test_spectrum_of_shift_gram(shift_file):

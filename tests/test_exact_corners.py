@@ -22,7 +22,7 @@ from anop.spectral import (COMP_CONST, DiscreteEig, positive_spectral_summary,
 from conftest import minus_diag, reference_kernel
 
 
-def _whole_corner_summary(s, classes, trunc):
+def _whole_corner_summary(s, classes):
     """The structured summary as it was before the block split, for
     positive operators whose l2 components have constant tails."""
     p, tol = s.op, s.tol
@@ -109,7 +109,7 @@ def _facts(s):
     return ([(np.float64(w).tobytes(), v.dtype, v.tobytes()) for w, v in s._corner_pairs],
             [(lam, type(lam), [[(x.re, x.im, x.is_exact) for x in v] for v in ker])
              for lam, ker in s._exact_eigs.items()],
-            [(d.value, type(d.value), d.mult, d.source) for d in s.discrete],
+            [(d.value, type(d.value), d.mult) for d in s.discrete],
             [(x, type(x)) for x in (s.norm, s.m, s.m_e)], s.tier)
 
 

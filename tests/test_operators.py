@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from anop.blocks import BandedBlock, DenseBlock, FiniteRankBlock
-from anop.diagonals import DiagonalSeq
+from anop.diagonals import DiagonalSeq, combine_diagonals
 from anop.errors import NSmallerThanBand, ShapeMismatch
 from anop.exactla import mat_mul
 from anop.gallery import (example1, example2, jacobi_operator, random_rational_unitary,
@@ -57,6 +57,21 @@ def test_combine_shift_commutator_is_rank_one():
     got = dense_oracle(d, 64)
     got[63, 63] = 0
     assert np.array_equal(got.real, oracle) and not got.imag.any()
+
+
+def test_combine_diagonals_adds_an_exact_real_constant_to_a_rule():
+    # 1/(k+1) + 2 * 3 stays ruled; with the complex constant i no real rule
+    # holds the sum, so it becomes an envelope
+    ruled = DiagonalSeq(rule=RationalFn([1], [1, 1]))
+    d = combine_diagonals([(Scalar.exact(1), ruled),
+                           (Scalar.exact(2), DiagonalSeq(limit=Scalar.exact(3)))])
+    assert d.rule is not None and d.limit == Scalar.exact(6)
+    assert [d.entry(k) for k in range(3)] == [
+        Scalar.exact(7), Scalar.exact(Fraction(13, 2)), Scalar.exact(Fraction(19, 3))]
+    d = combine_diagonals([(Scalar.exact(1), ruled),
+                           (Scalar.exact(1), DiagonalSeq(limit=Scalar.exact(0, 1)))])
+    assert d.rule is None and d.decay is not None
+    assert d.limit == Scalar.exact(0, 1)
 
 
 def test_combine_shape_mismatch():

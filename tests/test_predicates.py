@@ -41,6 +41,26 @@ def test_is_normal_shift_refuted_with_recheck():
     assert revalidate_witness(v, right_shift(2))
 
 
+def test_is_normal_ruled_tail_and_pair_witnesses():
+    # the weighted shift with weights k/(k+1) has a zero corner of
+    # T*T - TT*, so its witness is the first nonzero entry of the ruled tail
+    t = OperatorExpr((L2,), {(0, 0): BandedBlock(
+        {1: DiagonalSeq(rule=RationalFn([0, 1], [1, 1]))})})
+    v = is_normal(t)
+    assert v.status == "Refuted" and v.witness.support() == [(0, 1)]
+    assert v.evidence["form_value"] == ["1/4", "0"]
+    assert revalidate_witness(v, t)
+    # [[1, 1], [-1, 0]]: T*T - TT* has a zero diagonal, so no basis vector
+    # shows it, but e_0 + e_1 does
+    t = OperatorExpr((finite(2),), {(0, 0): FiniteRankBlock(
+        {(0, 0): 1, (0, 1): 1, (1, 0): -1})})
+    v = is_normal(t)
+    assert v.status == "Refuted" and v.witness.support() == [(0, 0), (0, 1)]
+    assert v.witness.get(0, 0) == v.witness.get(0, 1) == Scalar.exact(1)
+    assert v.evidence["form_value"] == ["4", "0"]
+    assert revalidate_witness(v, t)
+
+
 def test_star_paranormal_stage_three_refutes_a_rotated_weighted_shift():
     # R*WR with W the weighted shift of weights 5, 4, 4, ... (25 > 4 * 4, so
     # W is not star-paranormal) and R the rotation (3/5, 4/5) on e0, e1: one

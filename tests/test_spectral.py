@@ -18,7 +18,8 @@ from anop.operators import (L2, OperatorExpr, adjoint, direct_sum, identity_oper
                             multiply, finite)
 from anop.ratfn import RationalFn
 from anop.scalars import Scalar
-from anop.spectral import (EigStream, Symbol, _near_eigvecs, count_spectrum_in,
+from anop.spectral import (EigStream, ModulusSummary, Symbol, _near_eigvecs,
+                           check_self_adjoint, count_spectrum_in,
                            essential_spectrum, gram, kernel_dims, modulus_summary,
                            positive_an_diagonalize, positive_spectral_summary,
                            summary_eigenspace, symbol, symbolic_essential_spectrum)
@@ -70,6 +71,16 @@ def test_symbol_on_angle_array_matches_angle_loop():
                 for th in thetas]
         assert np.array_equal((v4 - 2 * k * v2 + k * k).view(np.int64),
                               np.array(want).view(np.int64))
+
+
+def test_range_real_converts_each_coefficient_once(monkeypatch):
+    calls = []
+    real = Scalar.__complex__
+    monkeypatch.setattr(Scalar, "__complex__", lambda x: calls.append(x) or real(x))
+    sym = symbol(jacobi_operator(), 0)
+    lo, hi = sym.range_real()
+    assert len(calls) == len(sym.coeffs) == 2
+    assert abs(lo + 2) < 1e-9 and abs(hi - 2) < 1e-9
 
 
 def test_symbol_of_shift_gram_is_constant():
@@ -159,6 +170,22 @@ def test_float_operator_beyond_tol_is_not_self_adjoint():
     for call in (positive_spectral_summary, essential_spectrum):
         with pytest.raises(NotSelfAdjoint, match="beyond tol"):
             call(t)
+
+
+def test_mirror_rules_with_different_prefixes_are_self_adjoint():
+    # (k+1)/(k+2) above the diagonal, and below it the same entries as a
+    # prefix 1/2, 2/3 and the rule valid from 2: not structurally identical
+    # to the adjoint, but equal to it entry by entry
+    rule = RationalFn([1, 1], [2, 1])
+    late = DiagonalSeq([Scalar.exact(Fraction(1, 2)), Scalar.exact(Fraction(2, 3))],
+                       rule=RationalFn([1, 1], [2, 1], valid_from=2))
+    t = OperatorExpr((L2,), {(0, 0): BandedBlock({1: DiagonalSeq(rule=rule), -1: late})})
+    assert not t.blocks[0, 0].structurally_equal(adjoint(t).blocks[0, 0])
+    check_self_adjoint(t, 1e-10)
+    other = OperatorExpr((L2,), {(0, 0): BandedBlock(
+        {1: DiagonalSeq(rule=rule), -1: DiagonalSeq(rule=RationalFn([1, 2], [2, 1]))})})
+    with pytest.raises(NotSelfAdjoint, match="operator differs from its adjoint"):
+        check_self_adjoint(other, 1e-10)
 
 
 def test_positive_summary_prefix_diagonal():
@@ -276,6 +303,28 @@ def test_positive_summary_identity():
     assert [_pt(pc[1]) for pc in s.ess] == [1.0]
     assert not s.discrete
     assert (s.m, s.m_e, s.norm) == (1.0, 1.0, 1.0)
+
+
+def test_discrete_holds_the_corner_and_reports_list_the_streams(monkeypatch):
+    # corner values 2 and 3/4, then the stream (k+1)/(k+2) from k = 2, whose
+    # first value ties with the corner's 3/4; the stream is evaluated only
+    # when a report lists it, at most trunc values
+    heads = []
+    real = EigStream.head
+    monkeypatch.setattr(EigStream, "head", lambda st, n: heads.append(n) or real(st, n))
+    p = diag_operator([Fraction(3, 4), 2], rule=RationalFn([1, 1], [2, 1]))
+    s = positive_spectral_summary(p, trunc=3)
+    assert [(d.value, d.mult) for d in s.discrete] == [(2, 1), (Fraction(3, 4), 1)]
+    assert [(st.comp, st.start) for st in s.streams] == [(0, 2)] and heads == []
+    listed = s.to_json()["discrete"]
+    assert heads == [3]
+    assert [(d["exact"], d["mult"]) for d in listed] == [
+        ("2", 1), ("5/6", 1), ("4/5", 1), ("3/4", 1), ("3/4", 1)]
+    roots = ModulusSummary(s)
+    assert [(d.value, d.mult) for d in roots.discrete] == [
+        (math.sqrt(2), 1), (math.sqrt(0.75), 1)]
+    assert [d["value"] for d in roots.to_json()["discrete"]] == [
+        math.sqrt(float(Fraction(d["exact"]))) for d in listed]
 
 
 def test_positive_summary_rejects_negative():

@@ -6,9 +6,10 @@ of operator files, one JSON line per run.
 The operators are the golden operator files of `tests/golden/operators/`,
 `random_theorem_form` seeds 1-40 as drawn and seeds 1-30 scaled by 0.7. On
 each runs every `check` predicate, `spectrum` of T*T, TT* and the modulus,
-`decompose` and `certify`, all with `--json --samples 300`. Then come
-`audit --json` and `gallery NAME` for every named gallery operator (bare
-`theorem_form` exits 64: it needs parameters). All run through
+`spectrum` of T*T with `--trunc 32` (below the 64 stream values a report
+lists by default), `decompose` and `certify`, all with `--json --samples
+300`. Then come `audit --json` and `gallery NAME` for every named gallery
+operator (bare `theorem_form` exits 64: it needs parameters). All run through
 `anop.cli.main` in one process. Each line holds the argv (the operator file
 named by its stem), the exit code, the sha256 of stdout and the last line
 of stderr. The program is imported from `src/` next to `tools/`, so two
@@ -37,6 +38,7 @@ from anop.serialize import serialize  # noqa: E402
 OPTIONS = ["--json", "--samples", "300"]
 COMMANDS = ([["check", "--predicate", p] for p in cli.PREDICATES]
             + [["spectrum", "--of", of] for of in ("T*T", "TT*", "modulus")]
+            + [["spectrum", "--of", "T*T", "--trunc", "32"]]
             + [["decompose"], ["certify"]])
 GALLERY = ("example1", "example2", "right_shift", "nilpotent", "jacobi",
            "flip_unitary", "scaled_shift", "theorem_form")
