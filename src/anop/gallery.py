@@ -327,8 +327,8 @@ def audit(tol=1e-10, samples=2000, seed=42):
 
     # (a) closed forms of T*T and TT* versus the recorded display formulas
     rng = random.Random(seed)
-    agree_a = ops_equal_exact(tts, example1_tts_claimed()) and \
-        ops_equal_exact(ttstar, example1_ttstar_claimed())
+    tts_claimed, ttstar_claimed = example1_tts_claimed(), example1_ttstar_claimed()
+    agree_a = ops_equal_exact(tts, tts_claimed) and ops_equal_exact(ttstar, ttstar_claimed)
     vec_checks = 0
     for _ in range(50):
         data = [{k: Scalar.exact(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
@@ -337,9 +337,9 @@ def audit(tol=1e-10, samples=2000, seed=42):
                  for k in range(2)}]
         x = VectorExpr(t1.spaces, data)
         lhs1 = apply(tts, x)
-        rhs1 = apply(example1_tts_claimed(), x)
+        rhs1 = apply(tts_claimed, x)
         lhs2 = apply(ttstar, x)
-        rhs2 = apply(example1_ttstar_claimed(), x)
+        rhs2 = apply(ttstar_claimed, x)
         if (lhs1 - rhs1).is_zero() and (lhs2 - rhs2).is_zero():
             vec_checks += 1
     agree_a = agree_a and vec_checks == 50

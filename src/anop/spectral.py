@@ -29,14 +29,21 @@ and up to n = 64 (`JACOBI_MAX_N`) no float eigensolver either:
 `jacobi.diagonal_pairs` builds the pairs `sym_eigen` would return.
 
 A symbolic summary (some component's symbol is not constant) keeps its
-window, the `truncate` of size max(trunc, corner + 8), and that window's
-`eigvalsh` values. It builds the half window that confirms a discrete
+window, the `truncate` of size max(trunc, corner + 8). Where the essential
+spectrum is one interval and the window is exactly real symmetric with
+half-bandwidth at most 8, two band LDL^T factorisations (`_all_beyond`) may
+certify that every eigvalsh value of the window lies within outside()'s
+reach of the interval and above the NotPositive floor: no value is then
+listed, and none is computed. Otherwise the summary keeps the window's
+`eigvalsh` values, and builds the half window that confirms a discrete
 eigenvalue only when some value lies outside the essential spectrum.
 `summary_eigenspace` solves the kept window with `sym_eigen` only when some
-kept value lies within 2e-7 max(1, max |w|) + ||m - m*||_F of the queried
+window value lies within 2e-7 max(1, max |w|) + ||m - m*||_F of the queried
 value: twice the reach of `_near_eigvecs`, plus the most that eigvalsh,
 which reads one triangle, and sym_eigen, which symmetrises, can disagree by.
-Any other query has the zero eigenspace, as the solve would find.
+A certified window clears a query by its bracket or one more factorisation,
+and takes eigvalsh only when neither does. Any other query has the zero
+eigenspace, as the solve would find.
 `symbolic_essential_spectrum` reads the essential spectrum off the symbols
 alone, before any window, so that a caller can refuse an operator whose T*T
 has an interval there.
@@ -81,17 +88,17 @@ class Symbol:
 
     @functools.cached_property
     def _terms(self):
-        return [(j, complex(c)) for j, c in self.coeffs.items()]
+        return [(j, (z := complex(c)).real, z.imag) for j, c in self.coeffs.items()]
 
     def eval_theta(self, theta):
         """Value at an angle or an array of angles. Complex products are
         spelled out in real arithmetic (numpy's complex array product rounds
         unlike its scalar one), so an array matches single angles bit for bit."""
         re = im = 0.0
-        for j, c in self._terms:
+        for j, cr, ci in self._terms:
             e = np.exp(1j * j * theta)
-            re = re + (c.real * e.real - c.imag * e.imag)
-            im = im + (c.real * e.imag + c.imag * e.real)
+            re = re + (cr * e.real - ci * e.imag)
+            im = im + (cr * e.imag + ci * e.real)
         return re + 1j * im
 
     def is_real(self):
@@ -116,11 +123,20 @@ class Symbol:
         hi = -self._refine(thetas, np.argmax(vals), sign=-1, tol=tol)
         return lo, hi
 
+    def _real_at(self, t):
+        """eval_theta(t).real at one float angle: exp(i j t) is (cos(j t),
+        sin(j t)) as in numpy, summed in eval_theta's order, in Python floats."""
+        re = 0.0
+        for j, cr, ci in self._terms:
+            x = j * t
+            re = re + (cr * math.cos(x) - ci * math.sin(x))
+        return re
+
     def _refine(self, thetas, idx, sign, tol):
         step = 2.0 * math.pi / len(thetas)
-        a = thetas[idx] - step
-        b = thetas[idx] + step
-        f = lambda t: sign * self.eval_theta(t).real
+        a = float(thetas[idx]) - step
+        b = float(thetas[idx]) + step
+        f = lambda t: sign * self._real_at(t)
         while b - a > tol * 1e-2 + 1e-15:
             m1 = a + (b - a) / 3.0
             m2 = b - (b - a) / 3.0
@@ -128,7 +144,7 @@ class Symbol:
                 b = m2
             else:
                 a = m1
-        return f(0.5 * (a + b))
+        return np.float64(f(0.5 * (a + b)))  # a numpy float, as the samples are
 
 
 def symbol(op, component):
@@ -355,7 +371,9 @@ class SpectralSummary:
         self._corner_pairs = None
         self._blocks = None
         self._window = None           # symbolic path: TruncationResult
-        self._window_eigs = None      # and its eigvalsh values
+        self._window_eigs = None      # and its eigvalsh values, or
+        self._band = None             # its band and a certified (lo, hi)
+        self._bracket = None          # holding them all (`_all_beyond`)
         self._screen_margin = None
         self._exact_eigs = {}
         self._path = None
@@ -616,20 +634,18 @@ def _symbolic_summary(s):
     s.ess = _merge_pieces(list(pieces.values()), tol)
     n1 = max(s.trunc, max(sizes) + 8)
     s._window = truncate(p, n1)
-    w1 = s._window_eigs = np.linalg.eigvalsh(s._window.matrix)
-    if w1.size and w1[0] < -max(tol, 1e-12) * max(1.0, abs(w1[-1])):
+    floor = -max(tol, 1e-12)
+    if floor <= 0 and len(s.ess) == 1 and s.ess[0][0] == "interval":
+        s._band = _real_band(s._window.matrix)
+        s._bracket = s._band and _window_bracket(s._band, s.ess[0][1], s.ess[0][2], floor)
+    w1 = np.linalg.eigvalsh(s._window.matrix) if s._bracket is None else np.array([])
+    s._window_eigs = w1 if s._bracket is None else None
+    if w1.size and w1[0] < floor * max(1.0, abs(w1[-1])):
         raise NotPositive(f"truncation eigenvalue {w1[0]:.3g} < 0")
 
     def outside(v):
-        for piece in s.ess:
-            if piece[0] == "point":
-                rf = float(piece[1].re)
-                if abs(v - rf) <= 1e-6 * max(1.0, abs(v)):
-                    return False
-            else:
-                if piece[1] - 1e-8 <= v <= piece[2] + 1e-8:
-                    return False
-        return True
+        return not any(abs(v - float(pc[1].re)) <= 1e-6 * max(1.0, abs(v)) if pc[0] == "point"
+                       else pc[1] - 1e-8 <= v <= pc[2] + 1e-8 for pc in s.ess)
 
     cands = [v for v in w1 if outside(v)]
     stable = []
@@ -702,6 +718,14 @@ def _screen_clears(s, vf):
     within the screen's margin of vf, so that `_near_eigvecs` would keep no
     pair of the window's sym_eigen. False whenever sym_eigen would refuse
     the window, so that its refusal is raised."""
+    if s._window_eigs is None:
+        a, b = s._bracket
+        reach = _reach(s._band, a, b, vf)
+        if (vf + reach <= a or vf - reach >= b or
+                (_all_beyond(s._band, vf - reach, -1) if 2 * vf > a + b
+                 else _all_beyond(s._band, vf + reach, 1))):
+            return True
+        s._window_eigs = np.linalg.eigvalsh(s._window.matrix)
     if s._screen_margin is None:
         m, w = s._window.matrix, s._window_eigs
         herm = m.conj().T
@@ -713,6 +737,81 @@ def _screen_clears(s, vf):
                             + herm_dev) if solvable else math.inf
     margin = s._screen_margin
     return math.isfinite(margin) and not np.any(np.abs(s._window_eigs - vf) <= margin)
+
+
+def _window_bracket(band, lo, hi, floor):
+    """(a, b) certified to hold every eigvalsh value of the band strictly
+    inside, a >= max(lo - 1e-8, floor), b <= hi + 1e-8: none is NotPositive
+    or outside() [lo, hi]; else None. Each end is tried first a screen reach
+    inside max(lo, floor) and hi, where the screen then clears for free."""
+    a0, b0 = max(lo - 1e-8, floor), hi + 1e-8
+    near = max(lo, floor)
+    a = next((x for x in (near + _reach(band, a0, b0, near), a0)
+              if _all_beyond(band, x, 1)), None)
+    b = next((x for x in (hi - _reach(band, a0, b0, hi), b0)
+              if a is not None and _all_beyond(band, x, -1)), None)
+    return None if b is None else (a, b)
+
+
+def _reach(band, a, b, x):
+    """The screen's margin bound for values in (a, b), plus room that keeps a
+    value certified beyond x -+ reach farther than it from x when rounded."""
+    return 2e-7 * max(1.0, abs(a), abs(b)) + _ldlt_delta(band, x)
+
+
+def _real_band(m):
+    """(diags, N) of a window m that is exactly real symmetric with
+    half-bandwidth b <= 8: diags[k][i] = m[i + k, i], k <= b, and N =
+    sum_k (2 if k else 1) max |diags[k]| >= ||m||_inf, 2 N finite. Else None."""
+    r = m.real
+    lower = [np.diagonal(r, -k) for k in range(min(9, len(r)))]
+    # symmetric, with no imaginary part and no entry beyond the 17 diagonals
+    if not all(np.array_equal(dk, np.diagonal(r, k)) for k, dk in enumerate(lower)) or \
+            np.count_nonzero(m.view(float)) != sum(
+                np.count_nonzero(dk) * (2 if k else 1) for k, dk in enumerate(lower)):
+        return None
+    b = max(k for k, dk in enumerate(lower) if k == 0 or dk.any())
+    norm = sum((2.0 if k else 1.0) * float(np.max(np.abs(dk))) for k, dk in enumerate(lower))
+    return ([dk.tolist() for dk in lower[:b + 1]], norm) if math.isfinite(2 * norm) else None
+
+
+def _ldlt_delta(band, x):
+    return 64 * len(band[0][0]) * 2.0 ** -52 * max(1.0, band[1] + abs(x))
+
+
+def _all_beyond(band, x, sign):
+    """Whether every eigenvalue of the band M, and every value eigvalsh
+    returns for it, lies above x (sign 1) or below it (sign -1): LDL^T of
+    A = sign (M - sigma I), sigma = x + sign delta, meets only positive
+    pivots. delta = 64 n eps max(1, N + |x|) suffices (u = eps / 2): the
+    computed L D L^T = A + F, |F| <= gamma_(b+2) |L| |D| |L^T| + u (N +
+    |sigma|) I. With D > 0, R = D^(1/2) L^T: || |L| |D| |L^T| ||_2 <=
+    ||R||_F^2 = tr(A + F) <= n ||A + F||_2, so ||F||_2 <= 11 n eps (N +
+    |sigma|) for b <= 8, and M's eigenvalues lie beyond x by more than
+    delta - ||F||_2. eigvalsh's are those of M + E, ||E||_2 <= p(n) eps
+    ||M||_2, so beyond x for p(n) <= 50 n, with room for rounding N, delta
+    and sigma. A definite band needs no pivoting; others meet a pivot <= 0."""
+    diags, _ = band
+    sigma = x + sign * _ldlt_delta(band, x)
+    # b identity rows stand before row 0 and add exact zeros; low[k][p]
+    # holds sign M[p, p - k] until it is overwritten by L[p, p - k]
+    b = len(diags) - 1
+    low = [None] + [[0.0] * (b + k) + [sign * v for v in dk] for k, dk in enumerate(diags) if k]
+    d = [1.0] * b
+    plan = [(low[k], k, [(low[q], q, low[q - k]) for q in range(k + 1, b + 1)])
+            for k in range(b, 0, -1)]
+    for p, a in enumerate(diags[0], b):
+        piv = sign * (a - sigma)
+        for lk, k, qs in plan:
+            v = lk[p]
+            for lq, q, lqk in qs:
+                v -= lq[p] * d[p - q] * lqk[p - k]
+            lk[p] = v / d[p - k]
+            piv -= lk[p] * v
+        if not piv > 0:
+            return False
+        d.append(piv)
+    return True
 
 
 def _near_eigvecs(p, labels, pairs, vf):

@@ -2,11 +2,13 @@
 summaries, moduli, diagonalization, and kernel dimensions."""
 
 import copy
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anop.blocks import BandedBlock, FiniteRankBlock
 from anop.diagonals import DiagonalSeq
@@ -18,7 +20,8 @@ from anop.operators import (L2, OperatorExpr, adjoint, direct_sum, identity_oper
                             multiply, finite)
 from anop.ratfn import RationalFn
 from anop.scalars import Scalar
-from anop.spectral import (EigStream, ModulusSummary, Symbol, _near_eigvecs,
+from anop.spectral import (EigStream, ModulusSummary, Symbol, _all_beyond, _near_eigvecs,
+                           _real_band,
                            check_self_adjoint, count_spectrum_in,
                            essential_spectrum, gram, kernel_dims, modulus_summary,
                            positive_an_diagonalize, positive_spectral_summary,
@@ -239,7 +242,7 @@ def test_eigenspace_screen_matches_the_solve(name):
     s = modulus_summary(JACOBI_VARIANTS[name], trunc=96).base
     assert s._path == "symbolic"
     pairs = sym_eigen(s._window.matrix, max(s.tol, 1e-12))
-    w = s._window_eigs
+    w = np.linalg.eigvalsh(s._window.matrix)
     scale = max(1.0, float(np.max(np.abs(w))))
     ((_, lo, hi),) = [pc for pc in s.ess if pc[0] == "interval"]
     values = [s.norm, lo, hi] + [d.value for d in s.discrete]
@@ -257,17 +260,162 @@ def test_eigenspace_screen_matches_the_solve(name):
 
 
 def test_eigenspace_screen_skips_the_solve_at_the_free_norm(monkeypatch):
-    # no window value lies outside [0, 4], so no half window is built either
+    # no window value lies outside [0, 4], so no half window is built either;
+    # the window is certified inside [0, 4] with no eigvalsh, and the norm
+    # clears by that bracket. A discrete eigenvalue (prefix5) needs the
+    # eigvalsh values of the window and the half window.
     import anop.spectral as spectral
-    calls, sizes = [], []
-    real_eigen, real_truncate = spectral.sym_eigen, spectral.truncate
+    calls, sizes, eigvalsh = [], [], []
+    real_eigen, real_truncate, real_eigvalsh = spectral.sym_eigen, spectral.truncate, \
+        np.linalg.eigvalsh
     monkeypatch.setattr(spectral, "sym_eigen",
                         lambda *a, **k: calls.append(a) or real_eigen(*a, **k))
     monkeypatch.setattr(spectral, "truncate",
                         lambda op, n: sizes.append(n) or real_truncate(op, n))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: eigvalsh.append(m.shape) or real_eigvalsh(m))
     s = modulus_summary(jacobi_operator()).base
+    assert s._bracket is not None and not s.discrete
     assert summary_eigenspace(s, s.norm).is_zero()
-    assert calls == [] and sizes == [256]
+    assert calls == [] and sizes == [256] and eigvalsh == []
+    s = positive_spectral_summary(gram(JACOBI_VARIANTS["prefix5"]))
+    assert s._bracket is None and len(s.discrete) == 1
+    assert eigvalsh == [(256, 256), (128, 128)]
+
+
+@functools.cache
+def _sweep_operators():
+    """`symbolic_operators` of tools/sweep.py: both branches of the window."""
+    import importlib.util
+    import os
+    from pathlib import Path
+    from unittest import mock
+    path = Path(__file__).resolve().parent.parent / "tools" / "sweep.py"
+    spec = importlib.util.spec_from_file_location("sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):      # the script pins BLAS threads
+        spec.loader.exec_module(sweep)
+    return dict(sweep.symbolic_operators())
+
+
+def _summaries_of(t, monkeypatch):
+    """The T*T and TT* summaries of t, as built and with every window
+    eigensolved (no band, so no certificate): (certified, reference) pairs."""
+    import anop.spectral as spectral
+    out = []
+    for build in (gram, spectral.cogram):
+        try:
+            got = positive_spectral_summary(build(t), trunc=96)
+        except (NotPositive, NotSelfAdjoint, UncertifiedTail) as exc:
+            got = type(exc)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_real_band", lambda matrix: None)
+            try:
+                ref = positive_spectral_summary(build(t), trunc=96)
+            except (NotPositive, NotSelfAdjoint, UncertifiedTail) as exc:
+                ref = type(exc)
+        out.append((got, ref))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(JACOBI_VARIANTS) + sorted(_sweep_operators()))
+def test_certified_window_matches_eigvalsh(name, monkeypatch):
+    # the certified window gives the summary and every eigenspace that
+    # eigvalsh of the window gives, at the norm, both ends of the interval,
+    # each discrete value and just inside and outside the screen's reach
+    t = JACOBI_VARIANTS.get(name) or _sweep_operators()[name]
+    for got, ref in _summaries_of(t, monkeypatch):
+        if isinstance(ref, type):
+            assert got is ref
+            continue
+        assert ref._bracket is None and ref._window_eigs is not None
+        assert [(d.value, d.mult) for d in got.discrete] == \
+            [(d.value, d.mult) for d in ref.discrete]
+        assert (got.norm, got.m, got.m_e, got.ess) == (ref.norm, ref.m, ref.m_e, ref.ess)
+        w = ref._window_eigs
+        scale = max(1.0, float(np.max(np.abs(w))))
+        values = [ref.norm] + [d.value for d in ref.discrete]
+        values += [v for pc in ref.ess if pc[0] == "interval" for v in pc[1:]]
+        for k in (0, len(w) // 2, len(w) - 1):
+            values += [w[k] + f * scale for f in (0.9e-7, -0.9e-7, 1.1e-7, -1.1e-7)]
+        for value in values:
+            assert _same_subspace(summary_eigenspace(copy.copy(got), value),
+                                  summary_eigenspace(copy.copy(ref), value)), value
+
+
+def _band_matrix(seed, n, b):
+    """A random real symmetric n x n matrix of half-bandwidth at most b."""
+    rng = np.random.default_rng(seed)
+    m = np.zeros((n, n))
+    for k in range(min(b, n - 1) + 1):
+        v = rng.uniform(-3, 3, n - k) * (rng.random(n - k) < 0.9)
+        m += np.diag(v, -k) + (np.diag(v, k) if k else 0)
+    return m
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(0, 3),
+       st.floats(-13, -6), st.sampled_from([1, -1]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_band_certificate_is_sound(seed, n, b, exponent, sign, across):
+    # a shift planted within 1e-13..1e-6 of the extreme eigenvalue, on the
+    # certified side or across it: whenever the factorisation succeeds, every
+    # eigvalsh value lies strictly on the certified side
+    m = _band_matrix(seed, n, b)
+    w = np.linalg.eigvalsh(m)
+    gap = 10.0 ** exponent * (-1 if across else 1)
+    x = w[0] - gap if sign == 1 else w[-1] + gap
+    band = _real_band(m.astype(complex))
+    assert band is not None and len(band[0]) - 1 <= b
+    if _all_beyond(band, x, sign):
+        assert np.all(sign * (w - x) > 0)
+        assert not across
+
+
+def test_real_band_refuses_other_windows():
+    m = _band_matrix(1, 20, 2)
+    assert _real_band(m.astype(complex)) is not None
+    wide = m.copy()
+    wide[12, 2] = wide[2, 12] = 1.0
+    skew = m.copy()
+    skew[3, 2] += 1.0
+    cplx = m.astype(complex)
+    cplx[3, 2] += 1e-300j
+    nan = m.copy()
+    nan[5, 5] = math.nan
+    huge = m.copy()
+    huge[0, 0] = 1e308
+    for bad in (wide, skew, cplx, nan, huge):
+        assert _real_band(np.asarray(bad, dtype=complex)) is None
+
+
+def test_one_angle_symbol_value_is_eval_theta_bit_for_bit(monkeypatch):
+    # on 1e5 angles, and at every point the ternary refinement evaluates on
+    # the symbols of the golden operators' T*T and TT*
+    from pathlib import Path
+    from anop.serialize import load
+    thetas = np.random.default_rng(0).uniform(-10.0, 20.0, 100000)
+    sym = Symbol({0: Scalar.exact(Fraction(3, 7)), 1: Scalar.of(0.3 - 1.7j),
+                  -1: Scalar.of(0.3 + 1.7j), 3: Scalar.of(-2.1 + 0.4j),
+                  -3: Scalar.of(-2.1 - 0.4j)})
+    for s in (sym, symbol(gram(jacobi_operator()), 0)):
+        assert [s._real_at(t) for t in thetas.tolist()] == s.eval_theta(thetas).real.tolist()
+    seen = []
+    real = Symbol._real_at
+
+    def checked(self, t):
+        v = real(self, t)
+        assert v == self.eval_theta(t).real, t
+        seen.append(t)
+        return v
+    monkeypatch.setattr(Symbol, "_real_at", checked)
+    golden = Path(__file__).resolve().parent / "golden" / "operators"
+    for path in sorted(golden.glob("*.json")):
+        t = load(path)
+        for p in (gram(t), multiply(t, adjoint(t))):
+            for i in p.l2_components():
+                if symbol(p, i).is_real() and not symbol(p, i).is_constant():
+                    symbol(p, i).range_real()
+    assert seen
 
 
 def test_symbolic_essential_spectrum_keeps_the_summary_checks():
