@@ -65,10 +65,6 @@ class BandedBlock:
             diags[j] = base.with_prefix(pre)
         return BandedBlock(diags)
 
-    def structurally_equal(self, other):
-        return self.diagonals.keys() == other.diagonals.keys() and all(
-            d.structurally_equal(other.diagonals[j]) for j, d in self.diagonals.items())
-
     def __repr__(self):
         return f"BandedBlock({{ {', '.join(f'{j}: {d!r}' for j, d in sorted(self.diagonals.items()))} }})"
 
@@ -96,9 +92,6 @@ class FiniteRankBlock:
 
     def col_extent(self):
         return max((c + 1 for (_, c) in self.entries), default=0)
-
-    def structurally_equal(self, other):
-        return self.entries == other.entries
 
     def __repr__(self):
         return f"FiniteRankBlock({len(self.entries)} entries)"

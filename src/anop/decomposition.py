@@ -66,6 +66,12 @@ def _max_bandwidth(t):
 
 def invariance_check(t, m, tol=1e-10):
     """Proven iff (I - P_m) T P_m vanishes; exact on exact data."""
+    cands = _invariance_candidates(t, m)
+    return _invariance_verdict(t, m, cands, (apply(t, v) for v in cands), tol)
+
+
+def _invariance_verdict(t, m, cands, images, tol):
+    """invariance_check from the candidates and their images, read in turn."""
     if m.kind in ("zero", "full"):
         return PredicateVerdict("invariance", PROVEN,
                                 evidence={"rule": f"{m.kind} subspace is trivially "
@@ -74,8 +80,7 @@ def invariance_check(t, m, tol=1e-10):
     exact_op = t.is_exact_scalars()
     all_exact = True
     worst = 0.0
-    for v in _invariance_candidates(t, m):
-        tv = apply(t, v)
+    for v, tv in zip(cands, images):
         r = tv - m.project(tv)
         if exact_op and v.is_exact():
             if not r.is_zero():
@@ -339,10 +344,12 @@ def _peel(t, tol, max_peel, samples, seed, trunc):
     iso_res = 0.0
     if not h2.is_zero():
         tail = TailIsometry(t, h2, m_e, s_q.m_e)
-        inv = invariance_check(t, h2, tol)
-        if inv.status == REFUTED:
+        cands = _invariance_candidates(t, h2)
+        images = [apply(t, v) for v in cands]
+        if _invariance_verdict(t, h2, cands, images, tol).status == REFUTED:
             raise StructureViolation("tail eigenspace is not invariant")
-        iso_res = _isometry_residual(t, h2, m_e)
+        for v, tv in zip(cands, images):
+            iso_res = max(iso_res, abs(tv.norm_float() - m_e * v.norm_float()))
         if iso_res > 10 * tol * max(1.0, m_e):
             raise StructureViolation(
                 f"tail restriction is not an isometry (residual {iso_res:.3g})")
@@ -448,14 +455,6 @@ def _unitary_level(t, s_q, s_qq, v2, tol):
         return None, (f"restriction at value {lam:.12g} is not unitary "
                       f"(containment {cont:.3g}, unitary residual {ur:.3g})")
     return PeeledLevel(lam, g1, mat, ur), None
-
-
-def _isometry_residual(t, h2, lam):
-    worst = 0.0
-    for v in _invariance_candidates(t, h2):
-        tv = apply(t, v)
-        worst = max(worst, abs(tv.norm_float() - lam * v.norm_float()))
-    return worst
 
 
 def _projector_matrix(space, labels):

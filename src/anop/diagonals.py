@@ -155,21 +155,6 @@ class DiagonalSeq:
         """This tail behind another prefix."""
         return DiagonalSeq(prefix, self.limit, self.rule, self._decay)
 
-    def structurally_equal(self, other):
-        """Same prefix, limit and tail; two ruled tails compare by their
-        rules, which fix every entry, without deriving a certificate."""
-        if len(self.prefix) != len(other.prefix):
-            return False
-        if any(a != b for a, b in zip(self.prefix, other.prefix)):
-            return False
-        if self.limit != other.limit:
-            return False
-        if (self.rule is None) != (other.rule is None):
-            return False
-        if self.rule is not None:
-            return self.rule == other.rule
-        return self.decay == other.decay
-
     def __repr__(self):
         bits = [f"prefix={[str(complex(v)) for v in self.prefix]}",
                 f"limit={complex(self.limit)}"]

@@ -531,10 +531,6 @@ def corner_sizes(op, pad=0):
     return sizes
 
 
-def merge_sizes(*sizes_lists):
-    return [max(vals) for vals in zip(*sizes_lists)]
-
-
 def direct_sum(*ops):
     """Block-diagonal sum; component spaces concatenate in order."""
     spaces = []
@@ -548,32 +544,37 @@ def direct_sum(*ops):
 
 
 def ops_equal_exact(a, b):
-    """Decidable structural equality: identical windows, limits and rules."""
-    if a.spaces != b.spaces:
+    """Whether a = b, read off the canonical forms block by block: the same
+    spaces and block positions, finite-rank blocks with the same entries, and
+    banded blocks with the same diagonals, two of which are equal when their
+    limits, rules (as rational functions, or both none) and entries below the
+    longer prefix agree; past it each entry is the limit or a rule value. A
+    declared decay envelope has no entries past its prefix: it equals only an
+    envelope with the same prefix, limit and (C, p). Nothing raises."""
+    if a.spaces != b.spaces or a.blocks.keys() != b.blocks.keys():
         return False
-    n = max(max(corner_sizes(a)), max(corner_sizes(b))) + 2
-    sizes = merge_sizes(window_sizes(a, n), window_sizes(b, n))
-    wa = dense_window(a, sizes)
-    wb = dense_window(b, sizes)
-    for ra, rb in zip(wa, wb):
-        for va, vb in zip(ra, rb):
-            if va != vb:
+    for pos, x in a.blocks.items():
+        y = b.blocks[pos]
+        # a and b share their spaces, so the blocks at one position share a kind
+        if isinstance(x, FiniteRankBlock):
+            if x.entries != y.entries:
                 return False
-    for i in a.l2_components():
-        da = a.blocks.get((i, i))
-        db = b.blocks.get((i, i))
-        da = da.diagonals if da is not None else {}
-        db = db.diagonals if db is not None else {}
-        for off in set(da) | set(db):
-            sa = da.get(off, DiagonalSeq())
-            sb = db.get(off, DiagonalSeq())
-            if sa.limit != sb.limit:
-                return False
-            if (sa.rule is None) != (sb.rule is None):
-                return False
-            if sa.rule is not None and sa.rule != sb.rule:
-                return False
+        elif x.diagonals.keys() != y.diagonals.keys() or not all(
+                _diagonals_equal(d, y.diagonals[j]) for j, d in x.diagonals.items()):
+            return False
     return True
+
+
+def _diagonals_equal(x, y):
+    if x.limit != y.limit or x.rule != y.rule:
+        return False
+    if not (x.has_entries() and y.has_entries()):
+        return x.prefix == y.prefix and x.decay == y.decay
+    if len(x.prefix) > len(y.prefix):
+        x, y = y, x
+    n = len(x.prefix)
+    return x.prefix == y.prefix[:n] and all(
+        v == x.entry(i) for i, v in enumerate(y.prefix[n:], n))
 
 
 def op_is_zero(op):

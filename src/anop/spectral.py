@@ -172,28 +172,17 @@ def _window_norm_bound(d):
     return bound
 
 
-def _blocks_identical(a, b):
-    # a and b share their spaces, so the blocks at one position share a kind
-    return a.blocks.keys() == b.blocks.keys() and all(
-        blk.structurally_equal(b.blocks[pos]) for pos, blk in a.blocks.items())
-
-
-def _entries_available(op):
-    for blk in op.blocks.values():
-        if hasattr(blk, "diagonals"):
-            for d in blk.diagonals.values():
-                if not d.has_entries():
-                    return False
-    return True
-
-
 def check_self_adjoint(op, tol):
+    """Return if `ops_equal_exact(op, op*)`. Else raise NotSelfAdjoint: at
+    once when op's scalars are exact and every diagonal has entries, so that
+    the comparison decided; otherwise when a float bound on ||op - op*||
+    exceeds tol ("... beyond tol")."""
     adj = star(op)
-    if _blocks_identical(op, adj):
+    if ops_equal_exact(op, adj):
         return
-    if op.is_exact_scalars() and _entries_available(op):
-        if ops_equal_exact(op, adj):
-            return
+    if op.is_exact_scalars() and all(
+            d.has_entries() for blk in op.blocks.values()
+            if isinstance(blk, BandedBlock) for d in blk.diagonals.values()):
         raise NotSelfAdjoint("operator differs from its adjoint")
     if _window_norm_bound(op - adj) > tol:
         raise NotSelfAdjoint("operator differs from its adjoint beyond tol")
@@ -628,14 +617,13 @@ def _symbolic_summary(s):
     p, tol = s.op, s.tol
     s._path = "symbolic"
     sizes = corner_sizes(p)
-    s._corner_sizes = sizes
     pieces = {i: _symbol_piece(p, i, tol) for i in p.l2_components()}
     s.c0s = {i: pc[1] for i, pc in pieces.items() if pc[0] == "point"}
     s.ess = _merge_pieces(list(pieces.values()), tol)
     n1 = max(s.trunc, max(sizes) + 8)
     s._window = truncate(p, n1)
     floor = -max(tol, 1e-12)
-    if floor <= 0 and len(s.ess) == 1 and s.ess[0][0] == "interval":
+    if len(s.ess) == 1 and s.ess[0][0] == "interval":
         s._band = _real_band(s._window.matrix)
         s._bracket = s._band and _window_bracket(s._band, s.ess[0][1], s.ess[0][2], floor)
     w1 = np.linalg.eigvalsh(s._window.matrix) if s._bracket is None else np.array([])

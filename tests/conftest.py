@@ -8,7 +8,8 @@ from hypothesis import settings, strategies as st
 from anop.blocks import BandedBlock, DenseBlock, FiniteRankBlock
 from anop.diagonals import DiagonalSeq
 from anop.exactla import _rref, mat_copy
-from anop.operators import L2, OperatorExpr, finite
+from anop.operators import (L2, OperatorExpr, corner_sizes, dense_window, finite,
+                            window_sizes)
 from anop.ratfn import RationalFn
 from anop.scalars import Scalar
 
@@ -47,6 +48,29 @@ def reference_kernel(m, ncols=None):
                 v[pc] = -work[r][fc]
             basis.append(v)
     return basis
+
+
+def reference_ops_equal(a, b):
+    """Operator equality read off two dense exact windows reaching two past
+    both corners, plus the limits and rules of the l2 diagonals: the
+    library's comparison before it walked the canonical form. Raises
+    UncertifiedTail on a diagonal with a declared envelope."""
+    if a.spaces != b.spaces:
+        return False
+    n = max(max(corner_sizes(a)), max(corner_sizes(b))) + 2
+    sizes = [max(pair) for pair in zip(window_sizes(a, n), window_sizes(b, n))]
+    if dense_window(a, sizes) != dense_window(b, sizes):
+        return False
+    for i in a.l2_components():
+        da = a.blocks[i, i].diagonals if (i, i) in a.blocks else {}
+        db = b.blocks[i, i].diagonals if (i, i) in b.blocks else {}
+        for off in set(da) | set(db):
+            sa, sb = da.get(off, DiagonalSeq()), db.get(off, DiagonalSeq())
+            if sa.limit != sb.limit or (sa.rule is None) != (sb.rule is None):
+                return False
+            if sa.rule is not None and sa.rule != sb.rule:
+                return False
+    return True
 
 
 def rand_spaces(rng):

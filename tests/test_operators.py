@@ -12,18 +12,18 @@ from hypothesis import example, given, strategies as st
 
 from anop.blocks import BandedBlock, DenseBlock, FiniteRankBlock
 from anop.diagonals import DiagonalSeq, combine_diagonals
-from anop.errors import NSmallerThanBand, ShapeMismatch
+from anop.errors import NSmallerThanBand, ShapeMismatch, UncertifiedTail
 from anop.exactla import mat_mul
 from anop.gallery import (example1, example2, jacobi_operator, random_rational_unitary,
                           right_shift)
 from anop.operators import (L2, OperatorExpr, adjoint, apply, combine,
-                            corner_sizes, dense_window, finite, identity_operator,
-                            merge_sizes, multiply, ops_equal_exact, truncate,
-                            window_layout, window_sizes, zero_operator)
+                            corner_sizes, dense_window, direct_sum, finite,
+                            identity_operator, multiply, ops_equal_exact,
+                            truncate, window_layout, window_sizes, zero_operator)
 from anop.ratfn import RationalFn
 from anop.scalars import Scalar
 from anop.vectors import VectorExpr
-from conftest import banded_operators, random_exact_operator
+from conftest import banded_operators, random_exact_operator, reference_ops_equal
 
 
 def dense_oracle(op, n):
@@ -286,6 +286,73 @@ def test_ring_axioms_small():
                                multiply(a, b) + multiply(a, c))
         assert ops_equal_exact(adjoint(multiply(a, b)),
                                multiply(adjoint(b), adjoint(a)))
+
+
+def _lengthened(op, extra):
+    """op with each ruled diagonal's prefix `extra` entries longer, its rule
+    valid only from there so that the canonical form keeps them (a prefix
+    entry equal to the tail value is dropped otherwise)."""
+    def longer(d):
+        if d.rule is None:
+            return d
+        n = len(d.prefix) + extra
+        rule = RationalFn(d.rule.num, d.rule.den, valid_from=n)
+        return DiagonalSeq([d.entry(i) for i in range(n)], rule=rule)
+    blocks = {pos: BandedBlock({j: longer(d) for j, d in blk.diagonals.items()})
+              if isinstance(blk, BandedBlock) else blk for pos, blk in op.blocks.items()}
+    return OperatorExpr(op.spaces, blocks)
+
+
+def _one_entry(spaces, data):
+    """An operator over spaces with one nonzero entry at a drawn place."""
+    i, j = (data.draw(st.integers(0, len(spaces) - 1)) for _ in range(2))
+    r, c = (data.draw(st.integers(0, (sp.dim or 6) - 1)) for sp in (spaces[i], spaces[j]))
+    entry = FiniteRankBlock({(r, c): data.draw(st.integers(1, 3))})
+    return OperatorExpr(spaces, {(i, j): entry})
+
+
+@given(banded_operators(), banded_operators(), st.integers(1, 3), st.data())
+def test_ops_equal_exact_agrees_with_the_dense_window_reference(a, b, extra, data):
+    tts, ttstar = multiply(adjoint(a), a), multiply(a, adjoint(a))
+    cases = [(a, a, True), (a, adjoint(adjoint(a)), True),
+             (a, _lengthened(a, extra), True), (a, a + _one_entry(a.spaces, data), False),
+             (a, b, None), (tts, adjoint(tts), True), (tts, ttstar, None)]
+    for x, y, expected in cases:
+        got = ops_equal_exact(x, y)
+        assert got == reference_ops_equal(x, y) == ops_equal_exact(y, x)
+        assert expected is None or got == expected
+
+
+def test_ops_equal_exact_reads_each_part_of_the_canonical_form():
+    def jacobi(diag, off=DiagonalSeq(limit=1)):
+        return OperatorExpr((L2,), {(0, 0): BandedBlock({0: diag, 1: off, -1: off})})
+    rule = RationalFn([1, 1], [2, 1])
+    late = DiagonalSeq([Scalar.exact(Fraction(1, 2)), Scalar.exact(Fraction(2, 3)), 7],
+                       rule=RationalFn([1, 1], [2, 1], valid_from=3))
+    coupled = OperatorExpr((L2, finite(1)), {(0, 0): jacobi(DiagonalSeq()).blocks[0, 0],
+                                             (1, 0): FiniteRankBlock({(0, 0): 1})})
+    for x, y in ((jacobi(DiagonalSeq([1], 2)), jacobi(DiagonalSeq([1], 3))),  # limits
+                 (jacobi(DiagonalSeq(rule=rule)),
+                  jacobi(DiagonalSeq(rule=RationalFn([2, 1], [3, 1])))),  # rules, both -> 1
+                 (jacobi(DiagonalSeq(rule=rule)), jacobi(late)),  # past the shorter prefix
+                 (direct_sum(jacobi(DiagonalSeq()), zero_operator((finite(1),))), coupled)):
+        for p, q in ((x, y), (y, x)):
+            assert not ops_equal_exact(p, q) and not reference_ops_equal(p, q)
+
+
+def test_ops_equal_exact_compares_declared_envelopes():
+    def enveloped(prefix=(1,), limit=2, c=1):
+        return OperatorExpr((L2,), {(0, 0): BandedBlock(
+            {0: DiagonalSeq(prefix, limit, decay=(c, 2)), 1: DiagonalSeq(limit=1)})})
+    assert ops_equal_exact(enveloped(), enveloped())
+    for other in (enveloped(c=3), enveloped(prefix=(1, 5)), enveloped(limit=3),
+                  OperatorExpr((L2,), {(0, 0): BandedBlock(
+                      {0: DiagonalSeq([1], 2), 1: DiagonalSeq(limit=1)})})):
+        assert not ops_equal_exact(enveloped(), other)
+        assert not ops_equal_exact(other, enveloped())
+    # the dense-window comparison needed every entry, and raised here
+    with pytest.raises(UncertifiedTail):
+        reference_ops_equal(enveloped(), enveloped())
 
 
 def test_truncation_interior_agreement():

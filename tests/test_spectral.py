@@ -177,13 +177,14 @@ def test_float_operator_beyond_tol_is_not_self_adjoint():
 
 def test_mirror_rules_with_different_prefixes_are_self_adjoint():
     # (k+1)/(k+2) above the diagonal, and below it the same entries as a
-    # prefix 1/2, 2/3 and the rule valid from 2: not structurally identical
-    # to the adjoint, but equal to it entry by entry
+    # prefix 1/2, 2/3 and the rule valid from 2: the adjoint's diagonal
+    # below keeps no prefix, but the two are equal entry by entry
     rule = RationalFn([1, 1], [2, 1])
     late = DiagonalSeq([Scalar.exact(Fraction(1, 2)), Scalar.exact(Fraction(2, 3))],
                        rule=RationalFn([1, 1], [2, 1], valid_from=2))
     t = OperatorExpr((L2,), {(0, 0): BandedBlock({1: DiagonalSeq(rule=rule), -1: late})})
-    assert not t.blocks[0, 0].structurally_equal(adjoint(t).blocks[0, 0])
+    below, mirror = t.blocks[0, 0].diagonals[-1], adjoint(t).blocks[0, 0].diagonals[-1]
+    assert len(below.prefix) != len(mirror.prefix)
     check_self_adjoint(t, 1e-10)
     other = OperatorExpr((L2,), {(0, 0): BandedBlock(
         {1: DiagonalSeq(rule=rule), -1: DiagonalSeq(rule=RationalFn([1, 2], [2, 1]))})})

@@ -16,8 +16,14 @@ lists by default), `decompose` and `certify`, all with `--json --samples
 operator (bare `theorem_form` exits 64: it needs parameters). All run through
 `anop.cli.main` in one process. Each line holds the argv (the operator file
 named by its stem), the exit code, the sha256 of stdout and the last line
-of stderr. The program is imported from `src/` next to `tools/`, so two
-checkouts compare by a `diff` of their outputs.
+of stderr.
+
+After the CLI lines comes one line per operator of the sweep with the
+library's operator equality, `ops_equal_exact`, of four pairs: T and
+parse(serialize(T)), T*T and (T*T)*, TT* and (TT*)*, and T*T and TT* (the
+normality question). A pair whose construction or comparison raises shows
+the exception's class name. The program is imported from `src/` next to
+`tools/`, so two checkouts compare by a `diff` of their outputs.
 """
 
 import hashlib
@@ -36,7 +42,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 from anop import (L2, BandedBlock, DiagonalSeq, OperatorExpr, Scalar,  # noqa: E402
-                  adjoint, cli, direct_sum, identity_operator)
+                  adjoint, cli, direct_sum, identity_operator, load, multiply,
+                  ops_equal_exact, parse)
 from anop.gallery import (example1, jacobi_operator, random_theorem_form,  # noqa: E402
                           right_shift)
 from anop.serialize import serialize  # noqa: E402
@@ -110,15 +117,42 @@ def report(shown, argv):
                       "stderr_last": lines[-1] if lines else ""}), flush=True)
 
 
+def _with_adjoint(a):
+    return a, adjoint(a)
+
+
+# the pairs of the equality line, each built from the operator T
+EQUALITIES = {
+    "T=parse(serialize(T))": lambda t: (t, parse(serialize(t))),
+    "T*T=(T*T)*": lambda t: _with_adjoint(multiply(adjoint(t), t)),
+    "TT*=(TT*)*": lambda t: _with_adjoint(multiply(t, adjoint(t))),
+    "T*T=TT*": lambda t: (multiply(adjoint(t), t), multiply(t, adjoint(t))),
+}
+
+
+def equality_report(name, path):
+    """Print the equality line of the operator file at path."""
+    line = {"operator": name}
+    for key, pair in EQUALITIES.items():
+        try:
+            line[key] = ops_equal_exact(*pair(load(path)))
+        except Exception as exc:
+            line[key] = type(exc).__name__
+    print(json.dumps(line), flush=True)
+
+
 def main():
     with tempfile.TemporaryDirectory() as workdir:
-        for name, path in operator_files(workdir):
+        files = operator_files(workdir)
+        for name, path in files:
             for cmd in COMMANDS:
                 report([cmd[0], name] + cmd[1:] + OPTIONS,
                        [cmd[0], str(path)] + cmd[1:] + OPTIONS)
-    report(["audit", "--json"], ["audit", "--json"])
-    for name in GALLERY:
-        report(["gallery", name], ["gallery", name])
+        report(["audit", "--json"], ["audit", "--json"])
+        for name in GALLERY:
+            report(["gallery", name], ["gallery", name])
+        for name, path in files:
+            equality_report(name, path)
 
 
 if __name__ == "__main__":
